@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from quadboson.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 ONE_MODE = {"model": "one_mode", "alpha": [0.3, 0.0], "beta": [0.5, 0.0]}
 TWO_MODE = {"model": "two_mode", "alpha": [0.1, 0.0], "beta": [0.2, 0.0], "gamma": 0.3}
@@ -149,6 +154,18 @@ class TestSweep:
         monkeypatch.setenv("QUADBOSON_WORKERS", "4")
         assert main(["sweep", "--config", path, "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("name", ["sweep_one_mode", "sweep_two_mode"])
+    def test_matches_golden_csv(self, tmp_path, name):
+        # The one-mode grid crosses alpha*beta = 1/4 with the EP (0.5, 0.5) on a
+        # node; the two-mode grid meets both loci alpha*beta = (gamma +/- 1)^2/4.
+        # The files pin every byte, so a refactor of the spectral path must
+        # reproduce eigenvalues, labels and gaps exactly (17 significant digits
+        # depend on the LAPACK build; regenerate with `quadboson sweep` if it
+        # changes).
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", "--config", str(DATA / f"{name}.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
 
     def test_metadata_and_header(self, tmp_path, capsys):
         config = dict(
