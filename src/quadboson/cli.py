@@ -7,7 +7,6 @@ transform (one-mode canonical map, generator, and metric check).
 Exit codes: 0 success, 1 bad config or failed verification, 2
 exceptional-point degeneracy (analysis still printed where possible).
 Config files are JSON; complex numbers are two-element [re, im] arrays.
-QUADBOSON_WORKERS caps sweep parallelism (default 1, serial).
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +32,8 @@ from .fock import FockTruncation, verify_metric, verify_spectrum
 from .spectral import (
     ExceptionalPointError,
     Reality,
-    classify_reality,
+    _eigensystem,
     decompose,
-    detect_ep,
-    eigenpairs,
     normalize_pairs,
 )
 from .swanson import (
@@ -226,18 +221,19 @@ def _print_matrix(label: str, mat: np.ndarray) -> None:
         print("  [" + ", ".join(_fmt_c(z) for z in row) + "]")
 
 
+def _sorted(values: np.ndarray) -> np.ndarray:
+    return values[np.lexsort((values.imag, values.real))]
+
+
 def cmd_analyze(config: ModelConfig) -> int:
     form = _build_form(config)
     print(f"model: {config.kind}")
-    rep = adjoint_rep(form)
-    report = detect_ep(rep)
-    reality = classify_reality(rep)
+    system = _eigensystem(adjoint_rep(form))
+    report = system.report
 
     if report.defective:
-        values = np.linalg.eigvals(rep)
-        values = values[np.lexsort((values.imag, values.real))]
-        print("eigenvalues: " + ", ".join(_fmt_c(v) for v in values))
-        print(f"reality: {reality.value}")
+        print("eigenvalues: " + ", ".join(_fmt_c(v) for v in _sorted(system.values)))
+        print(f"reality: {system.reality.value}")
         print("exceptional point: defective adjoint matrix")
         for c in report.clusters:
             print(
@@ -247,9 +243,9 @@ def cmd_analyze(config: ModelConfig) -> int:
         print("ladder construction impossible at an exceptional point")
         return EXIT_EXCEPTIONAL
 
-    ladders = eigenpairs(rep)
+    ladders = system.ladders()
     print("eigenvalues: " + ", ".join(_fmt_c(op.eigenvalue) for op in ladders))
-    print(f"reality: {reality.value}")
+    print(f"reality: {system.reality.value}")
     for c in report.clusters:
         if c.algebraic > 1:
             print(
@@ -270,17 +266,10 @@ def cmd_analyze(config: ModelConfig) -> int:
 
 
 def _sweep_point(config: ModelConfig, overrides: dict) -> tuple:
-    form = _build_form(config, overrides)
-    rep = adjoint_rep(form)
-    values = np.linalg.eigvals(rep)
-    values = values[np.lexsort((values.imag, values.real))]
-    report = detect_ep(rep)
-    if report.defective:
-        reality = Reality.EXCEPTIONAL_POINT
-    else:
-        reality = classify_reality(rep)
+    system = _eigensystem(adjoint_rep(_build_form(config, overrides)))
+    values = _sorted(system.values)
     gaps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]]
-    return values, reality, report.defective, min(gaps)
+    return values, system.reality, system.report.defective, min(gaps)
 
 
 def cmd_sweep(config: ModelConfig, out_path: str | None) -> int:
@@ -290,13 +279,7 @@ def cmd_sweep(config: ModelConfig, out_path: str | None) -> int:
     grids = [np.linspace(ax.start, ax.stop, ax.steps) for ax in axes]
     points = [dict(zip((ax.parameter for ax in axes), combo))
               for combo in _row_major(grids)]
-
-    workers = max(1, int(os.environ.get("QUADBOSON_WORKERS", "1")))
-    if workers == 1:
-        results = [_sweep_point(config, p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: _sweep_point(config, p), points))
+    results = [_sweep_point(config, p) for p in points]
 
     n_eigs = len(results[0][0])
     columns = [ax.parameter for ax in axes]

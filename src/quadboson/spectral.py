@@ -150,20 +150,17 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def _degeneracy_clusters(rep: np.ndarray, values: np.ndarray,
-                         cluster_tol: float | None, rank_tol: float):
-    scale = max(1.0, float(np.linalg.norm(rep, np.inf)))
-    tol = (CLUSTER_TOL if cluster_tol is None else cluster_tol) * scale
+def _degeneracy_clusters(rep: np.ndarray, values: np.ndarray, scale: float):
     clusters = []
     any_defective = False
-    for group in _cluster_indices(values, tol):
+    for group in _cluster_indices(values, CLUSTER_TOL * scale):
         center = complex(np.mean(values[group]))
         algebraic = len(group)
         if algebraic == 1:
             geometric = 1
         else:
             sv = np.linalg.svd(rep - center * np.eye(rep.shape[0]), compute_uv=False)
-            rank = int(np.sum(sv > rank_tol * max(sv[0], np.finfo(float).tiny)))
+            rank = int(np.sum(sv > RANK_TOL * max(sv[0], np.finfo(float).tiny)))
             geometric = rep.shape[0] - rank
         clusters.append(EigenvalueCluster(center, algebraic, geometric))
         any_defective = any_defective or geometric < algebraic
@@ -171,36 +168,8 @@ def _degeneracy_clusters(rep: np.ndarray, values: np.ndarray,
     return tuple(clusters), any_defective
 
 
-def detect_ep(rep: np.ndarray, cluster_tol: float | None = None,
-              rank_tol: float = RANK_TOL) -> EPReport:
-    """Cluster the spectrum and compare algebraic vs geometric multiplicities.
-
-    Eigenvalues are grouped within cluster_tol * |rep|_inf (default 1e-8
-    relative); the geometric multiplicity of a cluster is the dimension
-    minus the numerical rank of (rep - lambda I), with singular values
-    below rank_tol * sigma_max treated as zero.
-    """
-    rep = np.asarray(rep, dtype=complex)
-    values = np.linalg.eigvals(rep)
-    clusters, defective = _degeneracy_clusters(rep, values, cluster_tol, rank_tol)
-    return EPReport(clusters=clusters, defective=defective)
-
-
-def classify_reality(rep: np.ndarray, tol: float = REALITY_TOL) -> Reality:
-    """AllReal, Complex, or ExceptionalPoint for an adjoint matrix.
-
-    The spectrum counts as real when every |Im lambda| < tol * max(1, |lambda|).
-    A defective matrix is classified as an exceptional point regardless of
-    where its eigenvalues lie.
-    """
-    rep = np.asarray(rep, dtype=complex)
-    values = np.linalg.eigvals(rep)
-    _, defective = _degeneracy_clusters(rep, values, None, RANK_TOL)
-    if defective:
-        return Reality.EXCEPTIONAL_POINT
-    if np.all(np.abs(values.imag) < tol * np.maximum(1.0, np.abs(values))):
-        return Reality.ALL_REAL
-    return Reality.COMPLEX
+def _is_real(values: np.ndarray) -> bool:
+    return bool(np.all(np.abs(values.imag) < REALITY_TOL * np.maximum(1.0, np.abs(values))))
 
 
 def _pair_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -222,9 +191,83 @@ def _pair_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return pairs
 
 
-def eigenpairs(rep: np.ndarray, pair_tol: float = PAIR_TOL,
-               cluster_tol: float | None = None,
-               rank_tol: float = RANK_TOL) -> list[LadderOperator]:
+@dataclass(frozen=True, eq=False)
+class _Eigensystem:
+    """One eigendecomposition of an adjoint matrix and what is read from it."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    scale: float
+    report: EPReport
+    reality: Reality
+
+    def ladders(self) -> list[LadderOperator]:
+        """The +/- ordered ladder operators; see eigenpairs."""
+        if self.report.defective:
+            bad = self.report._first_defective()
+            raise ExceptionalPointError(
+                f"adjoint matrix is defective at lambda={bad.value:.6g} "
+                f"(algebraic {bad.algebraic}, geometric {bad.geometric}); "
+                "no complete ladder basis exists at an exceptional point",
+                report=self.report,
+            )
+        values, vectors = self.values, self.vectors
+        oriented = []
+        for i, j in _pair_indices(values, PAIR_TOL * self.scale):
+            a, b = values[i], values[j]
+            if (a.real, a.imag) > (b.real, b.imag):
+                i, j = j, i
+            oriented.append((i, j))
+        oriented.sort(key=lambda p: (values[p[0]].real, values[p[0]].imag))
+
+        lowers, raisers = [], []
+        for i, j in oriented:
+            vi = vectors[:, i] / np.linalg.norm(vectors[:, i])
+            vj = vectors[:, j] / np.linalg.norm(vectors[:, j])
+            lowers.append(LadderOperator(values[i], vi, LOWERING))
+            raisers.append(LadderOperator(values[j], vj, RAISING))
+        return lowers + raisers[::-1]
+
+
+def _eigensystem(rep: np.ndarray) -> _Eigensystem:
+    """The one eigensolve behind detect_ep, classify_reality and eigenpairs.
+
+    Their docstrings state the tolerances. The eigenvalues are clustered
+    once, with one SVD per multi-member cluster.
+    """
+    rep = np.asarray(rep, dtype=complex)
+    values, vectors = np.linalg.eig(rep)
+    scale = max(1.0, float(np.linalg.norm(rep, np.inf)))
+    clusters, defective = _degeneracy_clusters(rep, values, scale)
+    if defective:
+        reality = Reality.EXCEPTIONAL_POINT
+    else:
+        reality = Reality.ALL_REAL if _is_real(values) else Reality.COMPLEX
+    return _Eigensystem(values, vectors, scale, EPReport(clusters, defective), reality)
+
+
+def detect_ep(rep: np.ndarray) -> EPReport:
+    """Cluster the spectrum and compare algebraic vs geometric multiplicities.
+
+    Eigenvalues are grouped within CLUSTER_TOL * |rep|_inf (1e-8
+    relative); the geometric multiplicity of a cluster is the dimension
+    minus the numerical rank of (rep - lambda I), with singular values
+    below RANK_TOL * sigma_max treated as zero.
+    """
+    return _eigensystem(rep).report
+
+
+def classify_reality(rep: np.ndarray) -> Reality:
+    """AllReal, Complex, or ExceptionalPoint for an adjoint matrix.
+
+    The spectrum counts as real when every |Im lambda| < REALITY_TOL * max(1, |lambda|).
+    A defective matrix is classified as an exceptional point regardless of
+    where its eigenvalues lie.
+    """
+    return _eigensystem(rep).reality
+
+
+def eigenpairs(rep: np.ndarray) -> list[LadderOperator]:
     """Eigenvalue/eigenvector pairs of the adjoint matrix, +/- ordered.
 
     Returns 2K ladder operators with unit-norm coefficient vectors,
@@ -239,40 +282,10 @@ def eigenpairs(rep: np.ndarray, pair_tol: float = PAIR_TOL,
     n = rep.shape[0]
     if rep.ndim != 2 or rep.shape != (n, n) or n % 2:
         raise ValueError(f"adjoint matrix must be square of even size, got {rep.shape}")
-    values, vectors = np.linalg.eig(rep)
-
-    clusters, defective = _degeneracy_clusters(rep, values, cluster_tol, rank_tol)
-    if defective:
-        report = EPReport(clusters=clusters, defective=True)
-        bad = report._first_defective()
-        raise ExceptionalPointError(
-            f"adjoint matrix is defective at lambda={bad.value:.6g} "
-            f"(algebraic {bad.algebraic}, geometric {bad.geometric}); "
-            "no complete ladder basis exists at an exceptional point",
-            report=report,
-        )
-
-    scale = max(1.0, float(np.linalg.norm(rep, np.inf)))
-    raw_pairs = _pair_indices(values, pair_tol * scale)
-
-    oriented = []
-    for i, j in raw_pairs:
-        a, b = values[i], values[j]
-        if (a.real, a.imag) > (b.real, b.imag):
-            i, j = j, i
-        oriented.append((i, j))
-    oriented.sort(key=lambda p: (values[p[0]].real, values[p[0]].imag))
-
-    lowers, raisers = [], []
-    for i, j in oriented:
-        vi = vectors[:, i] / np.linalg.norm(vectors[:, i])
-        vj = vectors[:, j] / np.linalg.norm(vectors[:, j])
-        lowers.append(LadderOperator(values[i], vi, LOWERING))
-        raisers.append(LadderOperator(values[j], vj, RAISING))
-    return lowers + raisers[::-1]
+    return _eigensystem(rep).ladders()
 
 
-def _symplectic_pairs_at_zero(vectors, u, floor):
+def _symplectic_pairs_at_zero(vectors, u):
     # Null-eigenvalue cluster: grab mutually commuting pairs greedily and
     # u-orthogonalize the rest against each chosen pair.
     remaining = [np.array(v, dtype=complex) for v in vectors]
@@ -280,13 +293,13 @@ def _symplectic_pairs_at_zero(vectors, u, floor):
     while remaining:
         x = remaining.pop(0)
         xn = np.linalg.norm(x)
-        if xn < floor:
+        if xn < COMMUTATOR_FLOOR:
             raise ExceptionalPointError(
                 "null-space pairing collapsed; adjoint matrix is effectively defective"
             )
         x = x / xn
         overlaps = [abs(commutator_linear(x, y, u)) for y in remaining]
-        if not overlaps or max(overlaps) < floor:
+        if not overlaps or max(overlaps) < COMMUTATOR_FLOOR:
             raise ExceptionalPointError(
                 "vanishing pair commutator in the zero-eigenvalue cluster; "
                 "parameters sit at (or numerically near) an exceptional point"
@@ -304,10 +317,7 @@ def _symplectic_pairs_at_zero(vectors, u, floor):
     return pairs
 
 
-def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0,
-                    commutator_floor: float = COMMUTATOR_FLOOR,
-                    cluster_tol: float | None = None,
-                    reality_tol: float = REALITY_TOL) -> SpectralDecomposition:
+def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0) -> SpectralDecomposition:
     """Rescale +/- eigenpairs so each conjugate pair commutes to exactly 1.
 
     The lowering member keeps its unit-norm vector; the raising member
@@ -316,7 +326,7 @@ def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0,
     pair-commutator Gram matrix) so that cross commutators inside a
     group vanish and the diagonal form reproduces the original operator.
 
-    A pair commutator (or Gram matrix) smaller than commutator_floor
+    A pair commutator (or Gram matrix) smaller than COMMUTATOR_FLOOR
     signals proximity to an exceptional point and raises
     ExceptionalPointError.
     """
@@ -328,7 +338,7 @@ def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0,
 
     lam = np.array([op.eigenvalue for op in ladders])
     scale = max(1.0, float(np.max(np.abs(lam))))
-    tol = (CLUSTER_TOL if cluster_tol is None else cluster_tol) * scale
+    tol = CLUSTER_TOL * scale
 
     pair_ids = [(i, n - 1 - i) for i in range(k)]
     low_vals = np.array([lam[i] for i, _ in pair_ids])
@@ -342,7 +352,7 @@ def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0,
             for g in group:
                 i, j = pair_ids[g]
                 vecs.extend([ladders[i].coeffs, ladders[j].coeffs])
-            sympairs = _symplectic_pairs_at_zero(vecs, u, commutator_floor)
+            sympairs = _symplectic_pairs_at_zero(vecs, u)
             for g, (x, y) in zip(group, sympairs):
                 freq = 0.5 * (lam[pair_ids[g][1]] - lam[pair_ids[g][0]])
                 out[g] = (LadderOperator(-freq, x, LOWERING),
@@ -351,7 +361,7 @@ def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0,
         low_block = np.column_stack([ladders[pair_ids[g][0]].coeffs for g in group])
         high_block = np.column_stack([ladders[pair_ids[g][1]].coeffs for g in group])
         gram = low_block.T @ u @ high_block
-        if np.min(np.abs(np.linalg.svd(gram, compute_uv=False))) < commutator_floor:
+        if np.min(np.abs(np.linalg.svd(gram, compute_uv=False))) < COMMUTATOR_FLOOR:
             raise ExceptionalPointError(
                 f"pair commutator matrix is singular near lambda={center:.6g}; "
                 "ladder normalization impossible (exceptional-point proximity)"
@@ -369,8 +379,7 @@ def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0,
     pairs = tuple(pairs[i] for i in order)
     freqs = freqs[order]
 
-    all_real = bool(np.all(np.abs(freqs.imag) < reality_tol * np.maximum(1.0, np.abs(freqs))))
-    reality = Reality.ALL_REAL if all_real else Reality.COMPLEX
+    reality = Reality.ALL_REAL if _is_real(freqs) else Reality.COMPLEX
     ground = 0.5 * complex(np.sum(freqs)) + complex(offset)
     return SpectralDecomposition(
         pairs=pairs,
@@ -382,13 +391,10 @@ def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0,
     )
 
 
-def decompose(form: QuadraticForm, pair_tol: float = PAIR_TOL,
-              cluster_tol: float | None = None) -> SpectralDecomposition:
+def decompose(form: QuadraticForm) -> SpectralDecomposition:
     """Full pipeline: adjoint matrix -> eigenpairs -> normalized ladder pairs."""
-    rep = adjoint_rep(form)
-    ladders = eigenpairs(rep, pair_tol=pair_tol, cluster_tol=cluster_tol)
-    u = commutator_matrix(form.basis)
-    return normalize_pairs(ladders, u, offset=form.offset, cluster_tol=cluster_tol)
+    ladders = eigenpairs(adjoint_rep(form))
+    return normalize_pairs(ladders, commutator_matrix(form.basis), offset=form.offset)
 
 
 def spectrum(decomp: SpectralDecomposition, occupation) -> complex:

@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from quadboson import TwoModeParams, decompose, two_mode
 from quadboson.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -142,18 +144,6 @@ class TestSweep:
         assert main(["sweep", "--config", path, "--out", str(out1)]) == 0
         assert main(["sweep", "--config", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_parallel_workers_keep_grid_order(self, tmp_path, monkeypatch):
-        config = dict(
-            ONE_MODE,
-            sweep=[{"parameter": "alpha_re", "start": 0.0, "stop": 1.0, "steps": 9}],
-        )
-        path = write_config(tmp_path, config)
-        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        assert main(["sweep", "--config", path, "--out", str(serial)]) == 0
-        monkeypatch.setenv("QUADBOSON_WORKERS", "4")
-        assert main(["sweep", "--config", path, "--out", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
 
     @pytest.mark.parametrize("name", ["sweep_one_mode", "sweep_two_mode"])
     def test_matches_golden_csv(self, tmp_path, name):
@@ -309,3 +299,26 @@ class TestTransform:
 
     def test_missing_config_file(self, capsys):
         assert main(["analyze", "--config", "/nonexistent/cfg.json"]) == 1
+
+
+def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch, capsys):
+    # EP detection, reality classification and ladder extraction all read
+    # the same eigendecomposition.
+    calls = []
+    for name in ("eig", "eigvals"):
+        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append(1)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    decompose(two_mode(TwoModeParams(0.1, 0.2, 0.3)))
+    assert len(calls) == 1
+    for config in (TWO_MODE, {"model": "one_mode", "alpha": [0.5, 0.0], "beta": [0.5, 0.0]}):
+        calls.clear()
+        main(["analyze", "--config", write_config(tmp_path, config)])
+        assert len(calls) == 1
+    calls.clear()
+    config = dict(TWO_MODE, sweep=[{"parameter": "gamma", "start": 0.0, "stop": 1.0, "steps": 7}])
+    assert main(["sweep", "--config", write_config(tmp_path, config)]) == 0
+    assert len(calls) == 7
+    capsys.readouterr()
