@@ -19,7 +19,9 @@ import numpy as np
 from .algebra import QuadraticForm, adjoint_rep, commutator_linear, commutator_matrix
 
 PAIR_TOL = 1e-8
-CLUSTER_TOL = 1e-8
+# An order-2 exceptional point splits in floating point by O(sqrt(eps * |h|)),
+# so a narrower relative cluster width reads an exact EP as two simple values.
+CLUSTER_TOL = 16.0 * np.sqrt(np.finfo(float).eps)
 RANK_TOL = 1e-10
 REALITY_TOL = 1e-9
 COMMUTATOR_FLOOR = 1e-12
@@ -249,10 +251,10 @@ def _eigensystem(rep: np.ndarray) -> _Eigensystem:
 def detect_ep(rep: np.ndarray) -> EPReport:
     """Cluster the spectrum and compare algebraic vs geometric multiplicities.
 
-    Eigenvalues are grouped within CLUSTER_TOL * |rep|_inf (1e-8
-    relative); the geometric multiplicity of a cluster is the dimension
-    minus the numerical rank of (rep - lambda I), with singular values
-    below RANK_TOL * sigma_max treated as zero.
+    Eigenvalues are grouped within CLUSTER_TOL * |rep|_inf (16 sqrt(eps)
+    relative, about 2.4e-7); the geometric multiplicity of a cluster is
+    the dimension minus the numerical rank of (rep - lambda I), with
+    singular values below RANK_TOL * sigma_max treated as zero.
     """
     return _eigensystem(rep).report
 

@@ -232,6 +232,14 @@ class TestDetectEP:
         assert not report.defective
         assert all(c.algebraic == 1 for c in report.clusters)
 
+    def test_exact_ep_split_by_rounding_is_refused(self):
+        # (alpha, beta, gamma) = (0, 0.5, 1) is an exact order-2 EP; eig splits
+        # its zero eigenvalue to about +/-1.6e-8, which must stay one cluster
+        with pytest.raises(ExceptionalPointError) as excinfo:
+            decompose(two_mode(TwoModeParams(0.0, 0.5, 1.0)))
+        report = excinfo.value.report
+        assert report.algebraic_mult == 2 and report.geometric_mult == 1
+
     def test_two_mode_partial_degeneracy(self):
         # alpha*beta = (gamma-1)^2/4 kills one frequency only
         rep = adjoint_rep(two_mode(TwoModeParams(0.25, 0.25, 0.5)))
