@@ -18,7 +18,7 @@ import scipy.linalg as sla
 
 from .algebra import CanonicalMap, QuadraticForm, adjoint_rep, build_quadratic
 from .spectral import Reality, SpectralDecomposition, spectrum
-from .swanson import OneModeParams, generator_coeffs, one_mode
+from .swanson import OneModeParams, one_mode
 
 DEFAULT_DIMENSION_CAP = 4096
 SPECTRUM_TOL = 1e-6
@@ -244,17 +244,20 @@ def _metric_factor(cmap: CanonicalMap, trunc: FockTruncation) -> np.ndarray:
     """Lower-triangular F with F F^dag = rho[:cutoff, :cutoff] exactly.
 
     In normal order rho = sqrt(E) exp(A a^dag^2) E^(a^dag a) exp(conj(A) a^2)
-    (Truax, Phys. Rev. D 31, 1988 (1985)). The 2x2 adjoint representation
-    of exp(Q^dag) exp(Q) factors as [[1, 0], [-2A, 1]] diag(1/E, E)
+    (Truax, Phys. Rev. D 31, 1988 (1985)). S = exp(Q) has the 2x2 adjoint
+    representation S^t = cmap.matrix.T (swanson.generator_from_map), and
+    Q^dag has the conjugated coefficients with a and a^dag swapped, so
+    exp(Q^dag) exp(Q) is represented by P conj(S^t)^-1 P S^t with P the
+    swap. That matrix factors as [[1, 0], [-2A, 1]] diag(1/E, E)
     [[1, 2 conj(A)], [0, 1]], which fixes A and E. a^dag^2 is strictly
     lower triangular in the number basis, so expm of its truncated matrix
     is exactly the truncation of exp(A a^dag^2); F is that block with
     column k scaled by E^(k/2 + 1/4).
     """
-    gen = generator_coeffs(cmap)
-    # Q^dag: conjugated coefficients with a and a^dag swapped
-    gen_dag = QuadraticForm(gen.basis, gen.coeffs.conj()[::-1, ::-1])
-    rep = sla.expm(adjoint_rep(gen_dag)) @ sla.expm(adjoint_rep(gen))
+    cmap.require_canonical()
+    st = cmap.matrix.T
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rep = swap @ np.linalg.inv(st.conj()) @ swap @ st
     pivot = rep[0, 0]
     if not (pivot.real > 0.0 and abs(pivot.imag) <= _METRIC_REAL_TOL * abs(pivot)):
         raise ValueError(
@@ -271,7 +274,7 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
                   interior: int | None = None) -> MetricReport:
     """Build rho = S^dag S in normal order and test rho H = H^dag rho.
 
-    S = exp(Q) with Q the map generator (swanson.generator_coeffs). The
+    S = exp(Q) is the operator that implements the canonical map. The
     truncated metric is exact at every cutoff (see _metric_factor), so no
     padding is needed. The residual is reported on the interior block
     (default all levels below cutoff - 2, where the truncated H is exact).
@@ -279,9 +282,18 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
     the triangular factor F, which stays accurate on these strongly graded
     blocks where an eigensolver on rho itself loses all digits (Demmel &
     Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).
+
+    Raises ValueError when 1 - 4 alpha beta is not real: the frequency is
+    then complex and no metric with rho H = H^dag rho exists.
     """
     if trunc.n_modes != 1:
         raise ValueError("metric verification is defined for the one-mode model")
+    disc = 1.0 - 4.0 * params.alpha * params.beta
+    if abs(disc.imag) > _METRIC_REAL_TOL * max(1.0, abs(disc)):
+        raise ValueError(
+            f"1 - 4*alpha*beta = {disc:.6g} is not real; the frequency is complex "
+            "and no quasi-Hermiticity metric exists"
+        )
     if interior is None:
         interior = trunc.cutoff - 2
     if not 1 <= interior <= trunc.cutoff:

@@ -274,6 +274,18 @@ class TestVerifyMetric:
         with pytest.raises(ValueError, match="normal-ordered"):
             verify_metric(OneModeParams(0.1, 0.1), cmap, FockTruncation(1, 10))
 
+    def test_rejects_parameters_without_a_metric(self):
+        # 1 - 4 alpha beta = 0.74 - 0.08j: the frequency is complex, so no
+        # rho with rho H = H^dag rho exists
+        params = OneModeParams(0.2 + 0.1j, 0.3 - 0.05j)
+        with pytest.raises(ValueError, match="not real"):
+            verify_metric(params, bogoliubov_map(params, 1.0), FockTruncation(1, 40))
+        # complex parameters with a real product keep a metric
+        params = OneModeParams(0.3j, -0.5j)
+        report = verify_metric(params, bogoliubov_map(params, 1.0), FockTruncation(1, 40))
+        assert min(report.residual_profile[2:]) < 1e-6
+        assert report.min_metric_eigenvalue > 0.0
+
     def test_interior_validation(self):
         params = OneModeParams(0.1, 0.1)
         cmap = bogoliubov_map(params, 1.0)
