@@ -32,7 +32,7 @@ from quadboson import (
     verify_metric,
     verify_spectrum,
 )
-from conftest import random_symmetric, reconstruct_form
+from form_helpers import random_symmetric, reconstruct_form
 
 
 @contextmanager

@@ -13,7 +13,7 @@ from quadboson import (
     commutator_matrix,
     transform_form,
 )
-from conftest import random_symmetric
+from form_helpers import random_symmetric
 
 
 def random_canonical_map(rng, n_modes):

@@ -21,7 +21,7 @@ from quadboson import (
     two_mode,
     TwoModeParams,
 )
-from conftest import random_symmetric, reconstruct_form
+from form_helpers import random_symmetric, reconstruct_form
 
 ROOT_04 = np.sqrt(0.4)            # one-mode frequency at alpha=0.3, beta=0.5
 ROOT_161 = np.sqrt(1.61)          # two-mode frequencies at alpha=0.1, beta=0.2,
