@@ -22,7 +22,6 @@ PAIR_TOL = 1e-8
 # An order-2 exceptional point splits in floating point by O(sqrt(eps * |h|)),
 # so a narrower relative cluster width reads an exact EP as two simple values.
 CLUSTER_TOL = 16.0 * np.sqrt(np.finfo(float).eps)
-RANK_TOL = 1e-10
 REALITY_TOL = 1e-9
 COMMUTATOR_FLOOR = 1e-12
 
@@ -153,17 +152,17 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
 
 
 def _degeneracy_clusters(rep: np.ndarray, values: np.ndarray, scale: float):
+    tol = CLUSTER_TOL * scale
     clusters = []
     any_defective = False
-    for group in _cluster_indices(values, CLUSTER_TOL * scale):
+    for group in _cluster_indices(values, tol):
         center = complex(np.mean(values[group]))
         algebraic = len(group)
         if algebraic == 1:
             geometric = 1
         else:
             sv = np.linalg.svd(rep - center * np.eye(rep.shape[0]), compute_uv=False)
-            rank = int(np.sum(sv > RANK_TOL * max(sv[0], np.finfo(float).tiny)))
-            geometric = rep.shape[0] - rank
+            geometric = min(algebraic, int(np.sum(sv <= tol)))
         clusters.append(EigenvalueCluster(center, algebraic, geometric))
         any_defective = any_defective or geometric < algebraic
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
@@ -251,10 +250,12 @@ def _eigensystem(rep: np.ndarray) -> _Eigensystem:
 def detect_ep(rep: np.ndarray) -> EPReport:
     """Cluster the spectrum and compare algebraic vs geometric multiplicities.
 
-    Eigenvalues are grouped within CLUSTER_TOL * |rep|_inf (16 sqrt(eps)
-    relative, about 2.4e-7); the geometric multiplicity of a cluster is
-    the dimension minus the numerical rank of (rep - lambda I), with
-    singular values below RANK_TOL * sigma_max treated as zero.
+    Eigenvalues are grouped within CLUSTER_TOL * max(1, |rep|_inf)
+    (16 sqrt(eps) relative, about 2.4e-7); the geometric multiplicity of a
+    cluster is the number of singular values of (rep - lambda I) within
+    that same width, capped at the cluster size. A split cluster with a
+    full eigenvector basis thus stays regular, while an exceptional point
+    keeps a single near-null direction.
     """
     return _eigensystem(rep).report
 

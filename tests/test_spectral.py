@@ -240,6 +240,13 @@ class TestDetectEP:
         report = excinfo.value.report
         assert report.algebraic_mult == 2 and report.geometric_mult == 1
 
+    def test_tiny_split_with_full_eigenbasis_is_regular(self):
+        # uncoupled oscillators, one with frequency 1e-8: the +/-1e-8 pair
+        # falls in one cluster but keeps two eigenvectors
+        report = detect_ep(adjoint_rep(two_mode(TwoModeParams(0.0, 0.0, 1.0 - 1e-8))))
+        assert not report.defective
+        assert [(c.algebraic, c.geometric) for c in report.clusters] == [(1, 1), (2, 2), (1, 1)]
+
     def test_two_mode_partial_degeneracy(self):
         # alpha*beta = (gamma-1)^2/4 kills one frequency only
         rep = adjoint_rep(two_mode(TwoModeParams(0.25, 0.25, 0.5)))
