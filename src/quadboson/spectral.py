@@ -151,24 +151,6 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def _degeneracy_clusters(rep: np.ndarray, values: np.ndarray, scale: float):
-    tol = CLUSTER_TOL * scale
-    clusters = []
-    any_defective = False
-    for group in _cluster_indices(values, tol):
-        center = complex(np.mean(values[group]))
-        algebraic = len(group)
-        if algebraic == 1:
-            geometric = 1
-        else:
-            sv = np.linalg.svd(rep - center * np.eye(rep.shape[0]), compute_uv=False)
-            geometric = min(algebraic, int(np.sum(sv <= tol)))
-        clusters.append(EigenvalueCluster(center, algebraic, geometric))
-        any_defective = any_defective or geometric < algebraic
-    clusters.sort(key=lambda c: (c.value.real, c.value.imag))
-    return tuple(clusters), any_defective
-
-
 def _is_real(values: np.ndarray) -> bool:
     return bool(np.all(np.abs(values.imag) < REALITY_TOL * np.maximum(1.0, np.abs(values))))
 
@@ -233,18 +215,27 @@ class _Eigensystem:
 def _eigensystem(rep: np.ndarray) -> _Eigensystem:
     """The one eigensolve behind detect_ep, classify_reality and eigenpairs.
 
-    Their docstrings state the tolerances. The eigenvalues are clustered
-    once, with one SVD per multi-member cluster.
+    Their docstrings state the tolerances; one SVD per multi-member cluster.
     """
     rep = np.asarray(rep, dtype=complex)
     values, vectors = np.linalg.eig(rep)
     scale = max(1.0, float(np.linalg.norm(rep, np.inf)))
-    clusters, defective = _degeneracy_clusters(rep, values, scale)
-    if defective:
+    tol = CLUSTER_TOL * scale
+    clusters = []
+    for group in _cluster_indices(values, tol):
+        center = complex(np.mean(values[group]))
+        algebraic = geometric = len(group)
+        if algebraic > 1:
+            sv = np.linalg.svd(rep - center * np.eye(rep.shape[0]), compute_uv=False)
+            geometric = min(algebraic, int(np.sum(sv <= tol)))
+        clusters.append(EigenvalueCluster(center, algebraic, geometric))
+    clusters.sort(key=lambda c: (c.value.real, c.value.imag))
+    report = EPReport(tuple(clusters), any(c.defective for c in clusters))
+    if report.defective:
         reality = Reality.EXCEPTIONAL_POINT
     else:
         reality = Reality.ALL_REAL if _is_real(values) else Reality.COMPLEX
-    return _Eigensystem(values, vectors, scale, EPReport(clusters, defective), reality)
+    return _Eigensystem(values, vectors, scale, report, reality)
 
 
 def detect_ep(rep: np.ndarray) -> EPReport:
@@ -263,9 +254,10 @@ def detect_ep(rep: np.ndarray) -> EPReport:
 def classify_reality(rep: np.ndarray) -> Reality:
     """AllReal, Complex, or ExceptionalPoint for an adjoint matrix.
 
-    The spectrum counts as real when every |Im lambda| < REALITY_TOL * max(1, |lambda|).
-    A defective matrix is classified as an exceptional point regardless of
-    where its eigenvalues lie.
+    The spectrum counts as real when every
+    |Im lambda| < REALITY_TOL * max(1, |lambda|). A defective matrix is
+    classified as an exceptional point regardless of where its eigenvalues
+    lie.
     """
     return _eigensystem(rep).reality
 
