@@ -301,7 +301,7 @@ class TestTransform:
         assert main(["analyze", "--config", "/nonexistent/cfg.json"]) == 1
 
 
-def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch, capsys):
+def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch):
     # EP detection, reality classification and ladder extraction all read
     # the same eigendecomposition.
     calls = []
@@ -321,4 +321,3 @@ def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch, capsys):
     config = dict(TWO_MODE, sweep=[{"parameter": "gamma", "start": 0.0, "stop": 1.0, "steps": 7}])
     assert main(["sweep", "--config", write_config(tmp_path, config)]) == 0
     assert len(calls) == 7
-    capsys.readouterr()
