@@ -94,11 +94,12 @@ class CanonicalMap:
         u = commutator_matrix(self.basis)
         return float(np.max(np.abs(self.matrix @ u @ self.matrix.T - u)))
 
-    def require_canonical(self, tol: float = DEFAULT_CANONICAL_TOL) -> None:
+    def require_canonical(self) -> None:
         d = self.defect()
-        if not d <= tol:
+        if not d <= DEFAULT_CANONICAL_TOL:
             raise NonCanonicalMapError(
-                f"map does not preserve commutators: defect {d:.3e} exceeds tol {tol:.1e}"
+                f"map does not preserve commutators: defect {d:.3e} exceeds tol "
+                f"{DEFAULT_CANONICAL_TOL:.1e}"
             )
 
 
@@ -168,8 +169,7 @@ def commutator_linear(ca: np.ndarray, cb: np.ndarray, u: np.ndarray) -> complex:
     return complex(ca @ u @ cb)
 
 
-def transform_form(form: QuadraticForm, cmap: CanonicalMap,
-                   tol: float = DEFAULT_CANONICAL_TOL) -> QuadraticForm:
+def transform_form(form: QuadraticForm, cmap: CanonicalMap) -> QuadraticForm:
     """Quadratic form of the conjugated operator S H S^{-1}.
 
     Substituting O_i -> sum_j S[i,j] O_j gives coefficients S^t G S, which
@@ -180,7 +180,7 @@ def transform_form(form: QuadraticForm, cmap: CanonicalMap,
         raise ValueError(
             f"map size {cmap.basis.size} does not match form size {form.basis.size}"
         )
-    cmap.require_canonical(tol)
+    cmap.require_canonical()
     s = cmap.matrix
     raw = s.T @ form.coeffs @ s
     u = commutator_matrix(form.basis)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -278,7 +279,7 @@ def cmd_sweep(config: ModelConfig, out_path: str | None) -> int:
     axes = config.sweep
     grids = [np.linspace(ax.start, ax.stop, ax.steps) for ax in axes]
     points = [dict(zip((ax.parameter for ax in axes), combo))
-              for combo in _row_major(grids)]
+              for combo in itertools.product(*grids)]
     results = [_sweep_point(config, p) for p in points]
 
     n_eigs = len(results[0][0])
@@ -307,16 +308,6 @@ def cmd_sweep(config: ModelConfig, out_path: str | None) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def _row_major(grids):
-    if len(grids) == 1:
-        for x in grids[0]:
-            yield (x,)
-    else:
-        for x in grids[0]:
-            for y in grids[1]:
-                yield (x, y)
 
 
 def cmd_oracle(config: ModelConfig, allow_complex: bool) -> int:

@@ -10,6 +10,7 @@ and convergence is confirmed by re-running at a larger cutoff.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -39,10 +40,9 @@ class FockTruncation:
         if self.cutoff < 2:
             raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
         if self.dimension > self.cap:
-            limit = int(self.cap ** (1.0 / self.n_modes))
             raise ValueError(
                 f"truncated dimension {self.dimension} exceeds cap {self.cap}; "
-                f"largest feasible cutoff for {self.n_modes} mode(s) is {limit}"
+                f"largest feasible cutoff for {self.n_modes} mode(s) is {_largest_cutoff(self)}"
             )
 
     @property
@@ -50,35 +50,53 @@ class FockTruncation:
         return self.cutoff ** self.n_modes
 
     def grown(self, stride: int) -> "FockTruncation":
+        """Truncation `stride` levels larger under the same cap, for a convergence re-run."""
         bigger = self.cutoff + stride
-        return FockTruncation(self.n_modes, bigger, max(self.cap, bigger ** self.n_modes))
+        if bigger ** self.n_modes > self.cap:
+            raise ValueError(
+                f"convergence re-run at cutoff {bigger} exceeds cap {self.cap}; largest feasible "
+                f"cutoff for {self.n_modes} mode(s) with that re-run is "
+                f"{_largest_cutoff(self) - stride}"
+            )
+        return FockTruncation(self.n_modes, bigger, self.cap)
 
-    def interior_mask(self, margin: int = 2) -> np.ndarray:
-        """Boolean mask of basis states with every mode index < cutoff - margin."""
-        keep = np.arange(self.cutoff) < self.cutoff - margin
-        mask = np.array([True])
-        for _ in range(self.n_modes):
-            mask = np.kron(mask, keep)
-        return mask
+    def interior_mask(self) -> np.ndarray:
+        """Boolean mask of basis states with every mode index < cutoff - 2."""
+        keep = np.arange(self.cutoff) < self.cutoff - 2
+        return functools.reduce(np.kron, [keep] * self.n_modes)
+
+
+def _largest_cutoff(trunc: FockTruncation) -> int:
+    """Largest r with r ** n_modes <= cap; the float root is rounded, then corrected."""
+    root = round(trunc.cap ** (1.0 / trunc.n_modes))
+    while root ** trunc.n_modes > trunc.cap:
+        root -= 1
+    return root
+
+
+def _product(trunc: FockTruncation, indices) -> np.ndarray:
+    """Truncated matrix of O_i O_j .. (0-based basis indices) as one Kronecker product.
+
+    Mode m's factor is the product of its own a / a^dag (a[n-1, n] = sqrt(n)), in
+    order, identity if none; mode 1 is leftmost. Right-multiplying by a (a^dag) moves
+    column c - 1 (c + 1) to c scaled by sqrt(c) (sqrt(c + 1)), with no dense product.
+    """
+    nmax, k = trunc.cutoff, trunc.n_modes
+    root = np.sqrt(np.arange(nmax))
+    factors = [np.eye(nmax) for _ in range(k)]
+    for i in indices:
+        moved = np.zeros((nmax, nmax))
+        if i < k:
+            moved[:, 1:] = factors[i % k][:, :-1] * root[1:]
+        else:
+            moved[:, :-1] = factors[i % k][:, 1:] * root[1:]
+        factors[i % k] = moved
+    return functools.reduce(np.kron, factors)
 
 
 def fock_matrices(trunc: FockTruncation) -> list[np.ndarray]:
-    """Truncated matrices of (a_1..a_K, a_1^dag..a_K^dag).
-
-    Single-mode elements a[n-1, n] = sqrt(n); mode i is embedded as
-    I x .. x a x .. x I with mode 1 leftmost. Creators are transposes.
-    """
-    nmax = trunc.cutoff
-    a = np.zeros((nmax, nmax))
-    a[np.arange(nmax - 1), np.arange(1, nmax)] = np.sqrt(np.arange(1, nmax))
-    eye = np.eye(nmax)
-    lowers = []
-    for mode in range(trunc.n_modes):
-        mat = np.array([[1.0]])
-        for slot in range(trunc.n_modes):
-            mat = np.kron(mat, a if slot == mode else eye)
-        lowers.append(mat)
-    return lowers + [m.T for m in lowers]
+    """Truncated matrices of (a_1..a_K, a_1^dag..a_K^dag): I x .. x a x .. x I, mode 1 leftmost."""
+    return [_product(trunc, [i]) for i in range(2 * trunc.n_modes)]
 
 
 def assemble(form: QuadraticForm, trunc: FockTruncation) -> np.ndarray:
@@ -87,13 +105,10 @@ def assemble(form: QuadraticForm, trunc: FockTruncation) -> np.ndarray:
         raise ValueError(
             f"form has {form.basis.n_modes} mode(s) but truncation has {trunc.n_modes}"
         )
-    ops = fock_matrices(trunc)
     out = np.zeros((trunc.dimension, trunc.dimension), dtype=complex)
     g = form.coeffs
-    for i in range(len(ops)):
-        for j in range(len(ops)):
-            if g[i, j] != 0:
-                out += g[i, j] * (ops[i] @ ops[j])
+    for i, j in zip(*np.nonzero(g)):
+        out += g[i, j] * _product(trunc, (i, j))
     if form.offset != 0:
         out += form.offset * np.eye(trunc.dimension)
     return out
@@ -148,15 +163,15 @@ class OracleReport:
 
 
 def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: int,
-                    trunc: FockTruncation, tol: float = SPECTRUM_TOL,
-                    stride: int | None = None) -> OracleReport:
+                    trunc: FockTruncation, tol: float = SPECTRUM_TOL) -> OracleReport:
     """Compare the lowest oracle eigenvalues against the ladder spectrum.
 
     The `levels` oracle eigenvalues of smallest real part are matched
     elementwise against the enumerated diagonal-form energies. The run is
-    repeated with the cutoff grown by `stride` (default 20 for one mode,
-    5 per mode otherwise); converged means every matched level moved by
-    less than tol/10.
+    repeated with the cutoff grown by 20 for one mode and by 5 per mode
+    otherwise; converged means every matched level moved by less than
+    tol/10. The re-run stays under trunc.cap: a truncation whose re-run
+    exceeds it raises ValueError before anything is assembled.
     """
     if levels < 1:
         raise ValueError("levels must be positive")
@@ -164,15 +179,14 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
         raise ValueError(
             f"cannot match {levels} levels from a {trunc.dimension}-state truncation"
         )
-    if stride is None:
-        stride = 20 if trunc.n_modes == 1 else 5
+    regrown = trunc.grown(20 if trunc.n_modes == 1 else 5)
     observed = oracle_eigenvalues(assemble(form, trunc))
     predicted = predicted_levels(decomp, levels)
     matched = tuple(
         (complex(p), complex(o), float(abs(p - o)))
         for p, o in zip(predicted, observed[:levels])
     )
-    refined = oracle_eigenvalues(assemble(form, trunc.grown(stride)))
+    refined = oracle_eigenvalues(assemble(form, regrown))
     drift = np.abs(observed[:levels] - refined[:levels])
     converged = bool(np.all(drift < tol / 10.0))
     return OracleReport(

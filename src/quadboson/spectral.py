@@ -274,8 +274,7 @@ def eigenpairs(rep: np.ndarray) -> list[LadderOperator]:
     the matrix is defective and no eigenvector basis exists.
     """
     rep = np.asarray(rep, dtype=complex)
-    n = rep.shape[0]
-    if rep.ndim != 2 or rep.shape != (n, n) or n % 2:
+    if rep.ndim != 2 or rep.shape[0] != rep.shape[1] or rep.shape[0] % 2:
         raise ValueError(f"adjoint matrix must be square of even size, got {rep.shape}")
     return _eigensystem(rep).ladders()
 

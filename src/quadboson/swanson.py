@@ -19,6 +19,7 @@ from .algebra import (
     BosonBasis,
     CanonicalMap,
     QuadraticForm,
+    adjoint_rep,
     build_quadratic,
     commutator_linear,
     commutator_matrix,
@@ -140,11 +141,14 @@ def bogoliubov_map(params: OneModeParams, s11: float) -> CanonicalMap:
 
 
 def generator_from_map(cmap: CanonicalMap) -> np.ndarray:
-    """Adjoint representation of the map generator, log(S^t) principal branch.
+    """Adjoint representation log(S^t) = 2 G u of the generator, G from generator_coeffs."""
+    return adjoint_rep(generator_coeffs(cmap))
 
-    The generator of S = exp(Q) satisfies S^t = exp(Q_rep) for the adjoint
-    representation Q_rep of the quadratic operator Q; its coefficient
-    matrix is recovered as -Q_rep u / 2 and must come out symmetric.
+
+def generator_coeffs(cmap: CanonicalMap) -> QuadraticForm:
+    """Quadratic form of the map generator (coefficients -log(S^t) u / 2).
+
+    The principal logarithm must exist and the coefficients come out symmetric.
     """
     st = cmap.matrix.T
     eig = np.linalg.eigvals(st)
@@ -156,22 +160,13 @@ def generator_from_map(cmap: CanonicalMap) -> np.ndarray:
             "different s11 gauge"
         )
     q_rep = np.asarray(sla.logm(st), dtype=complex)
-    u = commutator_matrix(cmap.basis)
-    gq = -0.5 * q_rep @ u
+    gq = -0.5 * q_rep @ commutator_matrix(cmap.basis)
     asym = np.max(np.abs(gq - gq.T))
     if asym > _GENERATOR_SYMMETRY_TOL:
         raise ValueError(
             f"recovered generator coefficients are not symmetric (defect {asym:.3e}); "
             "the map is not canonical to working precision"
         )
-    return q_rep
-
-
-def generator_coeffs(cmap: CanonicalMap) -> QuadraticForm:
-    """Quadratic form of the map generator (coefficients -log(S^t) u / 2)."""
-    q_rep = generator_from_map(cmap)
-    u = commutator_matrix(cmap.basis)
-    gq = -0.5 * q_rep @ u
     return QuadraticForm(cmap.basis, 0.5 * (gq + gq.T), 0.0)
 
 

@@ -247,6 +247,14 @@ class TestOracle:
         assert code == 1
         assert "feasible cutoff" in err
 
+    def test_rerun_over_cap_is_refused(self, tmp_path, capsys):
+        # nmax 64 fits the 4096 cap, its convergence re-run at 69 does not
+        config = dict(TWO_MODE, oracle={"nmax": 64, "levels": 3, "tol": 1e-4})
+        code = main(["oracle", "--config", write_config(tmp_path, config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.rstrip().endswith("is 59")
+
     def test_cli_overrides(self, tmp_path, capsys):
         config = dict(ONE_MODE, oracle={"nmax": 40, "levels": 5, "tol": 1e-6})
         code = main([

@@ -21,6 +21,8 @@ from quadboson import (
     verify_metric,
     verify_spectrum,
 )
+from quadboson import fock
+from form_helpers import random_symmetric
 
 ROOT_04 = np.sqrt(0.4)
 
@@ -57,6 +59,10 @@ class TestFockMatrices:
         with pytest.raises(ValueError, match="feasible cutoff"):
             FockTruncation(2, 100)
         FockTruncation(2, 100, cap=10001)  # raised cap admits it
+        # 4096 ** (1/3) evaluates to 15.999999999999998; the exact root is 16
+        with pytest.raises(ValueError, match="feasible cutoff for 3 mode.s. is 16$"):
+            FockTruncation(3, 17)
+        FockTruncation(3, 16)
 
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
@@ -95,6 +101,27 @@ class TestAssemble:
     def test_mode_count_mismatch(self):
         with pytest.raises(ValueError, match="mode"):
             assemble(one_mode(OneModeParams(0.0, 0.0)), FockTruncation(2, 5))
+
+    @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4)])
+    def test_matches_products_of_embedded_operators(self, rng, n_modes, cutoff):
+        # reference: sum_ij G[i,j] M_i M_j + offset * I from the full embedded
+        # operators, in the same summation order; the result must agree bit for bit
+        size = 2 * n_modes
+        for _ in range(3):
+            g = random_symmetric(rng, size)
+            zero = rng.random((size, size)) < 0.3
+            zero[0, -1] = True
+            g[zero | zero.T] = 0.0
+            form = QuadraticForm(BosonBasis(n_modes), g, offset=complex(*rng.normal(size=2)))
+            trunc = FockTruncation(n_modes, cutoff)
+            ops = fock_matrices(trunc)
+            expected = np.zeros((trunc.dimension, trunc.dimension), dtype=complex)
+            for i in range(size):
+                for j in range(size):
+                    if form.coeffs[i, j] != 0:
+                        expected += form.coeffs[i, j] * (ops[i] @ ops[j])
+            expected += form.offset * np.eye(trunc.dimension)
+            assert np.array_equal(assemble(form, trunc), expected)
 
 
 class TestOracleEigenvalues:
@@ -194,6 +221,17 @@ class TestVerifySpectrum:
         form = one_mode(OneModeParams(0.0, 0.0))
         with pytest.raises(ValueError):
             verify_spectrum(form, decompose(form), 0, FockTruncation(1, 10))
+
+    def test_rerun_respects_cap(self, monkeypatch):
+        form = two_mode(TwoModeParams(0.1, 0.2, 0.3))
+        trunc = FockTruncation(2, 10, cap=100)
+        assert trunc.grown(0).cap == 100
+        calls = []
+        monkeypatch.setattr(fock, "assemble", lambda *args: calls.append(args))
+        # the re-run at cutoff 15 needs 225 states; a start at 5 re-runs at 10
+        with pytest.raises(ValueError, match="with that re-run is 5$"):
+            verify_spectrum(form, decompose(form), 3, trunc)
+        assert calls == []
 
 
 class TestVerifyAdjointAction:

@@ -88,6 +88,8 @@ class TestEigenpairs:
     def test_rejects_odd_size(self):
         with pytest.raises(ValueError):
             eigenpairs(np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            eigenpairs(np.float64(1.0))
 
 
 class TestNormalizePairs:
