@@ -3,7 +3,10 @@
 Every quadratic form can be assembled as a dense matrix on the product
 Fock space with each mode cut off at nmax levels. Diagonalizing that
 matrix gives an oracle for the ladder-operator predictions that knows
-nothing about the algebraic construction. Truncation corrupts matrix
+nothing about the algebraic construction. Every quadratic term changes
+the total boson number by 0 or +/-2, so the matrix is block-diagonal in
+total-number parity and the oracle diagonalizes the two blocks apart, in
+real arithmetic when the form is real. Truncation corrupts matrix
 elements near the cutoff, so all comparisons restrict to interior blocks
 and convergence is confirmed by re-running at a larger cutoff.
 """
@@ -53,17 +56,25 @@ class FockTruncation:
         """Truncation `stride` levels larger under the same cap, for a convergence re-run."""
         bigger = self.cutoff + stride
         if bigger ** self.n_modes > self.cap:
-            raise ValueError(
-                f"convergence re-run at cutoff {bigger} exceeds cap {self.cap}; largest feasible "
-                f"cutoff for {self.n_modes} mode(s) with that re-run is "
-                f"{_largest_cutoff(self) - stride}"
+            largest = _largest_cutoff(self) - stride
+            hint = (
+                f"largest feasible cutoff for {self.n_modes} mode(s) with that re-run is {largest}"
+                if largest >= 2 else
+                f"no starting cutoff for {self.n_modes} mode(s) fits; the smallest re-run "
+                f"(cutoff {2 + stride}) needs cap {(2 + stride) ** self.n_modes}"
             )
+            raise ValueError(f"convergence re-run at cutoff {bigger} exceeds cap {self.cap}; {hint}")
         return FockTruncation(self.n_modes, bigger, self.cap)
 
     def interior_mask(self) -> np.ndarray:
         """Boolean mask of basis states with every mode index < cutoff - 2."""
         keep = np.arange(self.cutoff) < self.cutoff - 2
         return functools.reduce(np.kron, [keep] * self.n_modes)
+
+    def odd_mask(self) -> np.ndarray:
+        """Boolean mask of basis states whose total boson number is odd."""
+        sign = 1 - 2 * (np.arange(self.cutoff) % 2)
+        return functools.reduce(np.kron, [sign] * self.n_modes) < 0
 
 
 def _largest_cutoff(trunc: FockTruncation) -> int:
@@ -100,26 +111,45 @@ def fock_matrices(trunc: FockTruncation) -> list[np.ndarray]:
 
 
 def assemble(form: QuadraticForm, trunc: FockTruncation) -> np.ndarray:
-    """Dense matrix sum_ij G[i,j] M_i M_j + offset * I on the truncated space."""
+    """Dense matrix sum_ij G[i,j] M_i M_j + offset * I on the truncated space.
+
+    The matrix is float64 when every coefficient and the offset are real,
+    complex128 otherwise.
+    """
     if form.basis.n_modes != trunc.n_modes:
         raise ValueError(
             f"form has {form.basis.n_modes} mode(s) but truncation has {trunc.n_modes}"
         )
-    out = np.zeros((trunc.dimension, trunc.dimension), dtype=complex)
-    g = form.coeffs
+    g, offset = form.coeffs, form.offset
+    if not np.any(g.imag) and offset.imag == 0:
+        g, offset = g.real, offset.real
+    out = np.zeros((trunc.dimension, trunc.dimension), dtype=g.dtype)
     for i, j in zip(*np.nonzero(g)):
         out += g[i, j] * _product(trunc, (i, j))
-    if form.offset != 0:
-        out += form.offset * np.eye(trunc.dimension)
+    if offset != 0:
+        out += offset * np.eye(trunc.dimension)
     return out
 
 
 def oracle_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense matrix, sorted by real part then imaginary."""
-    matrix = np.asarray(matrix, dtype=complex)
+    """All eigenvalues of a dense matrix as a complex array, sorted by real part then imaginary.
+
+    A real matrix is diagonalized in real arithmetic.
+    """
+    matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    values = np.linalg.eigvals(matrix)
+    values = np.linalg.eigvals(matrix).astype(complex, copy=False)
+    return values[np.lexsort((values.imag, values.real))]
+
+
+def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation) -> np.ndarray:
+    """Sorted oracle spectrum from one assembly and one solve per total-parity block."""
+    matrix = assemble(form, trunc)
+    odd = trunc.odd_mask()
+    values = np.concatenate(
+        [oracle_eigenvalues(matrix[np.ix_(mask, mask)]) for mask in (~odd, odd)]
+    )
     return values[np.lexsort((values.imag, values.real))]
 
 
@@ -171,7 +201,9 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
     repeated with the cutoff grown by 20 for one mode and by 5 per mode
     otherwise; converged means every matched level moved by less than
     tol/10. The re-run stays under trunc.cap: a truncation whose re-run
-    exceeds it raises ValueError before anything is assembled.
+    exceeds it raises ValueError before anything is assembled. Each run
+    assembles the full truncation once and solves the even and odd
+    total-parity blocks separately (the form conserves that parity).
     """
     if levels < 1:
         raise ValueError("levels must be positive")
@@ -180,13 +212,13 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
             f"cannot match {levels} levels from a {trunc.dimension}-state truncation"
         )
     regrown = trunc.grown(20 if trunc.n_modes == 1 else 5)
-    observed = oracle_eigenvalues(assemble(form, trunc))
+    observed = _parity_eigenvalues(form, trunc)
     predicted = predicted_levels(decomp, levels)
     matched = tuple(
         (complex(p), complex(o), float(abs(p - o)))
         for p, o in zip(predicted, observed[:levels])
     )
-    refined = oracle_eigenvalues(assemble(form, regrown))
+    refined = _parity_eigenvalues(form, regrown)
     drift = np.abs(observed[:levels] - refined[:levels])
     converged = bool(np.all(drift < tol / 10.0))
     return OracleReport(
@@ -224,7 +256,13 @@ def verify_adjoint_action(form: QuadraticForm, trunc: FockTruncation) -> Adjoint
     mask = trunc.interior_mask()
     interior, full = [], []
     for i, op in enumerate(ops):
-        resid = ham @ op - op @ ham
+        # op has at most one nonzero per row and column, so ham @ op gathers
+        # weighted columns of ham and op @ ham weighted rows
+        rows, cols = np.nonzero(op)
+        weights = op[rows, cols]
+        resid = np.zeros_like(ham)
+        resid[:, cols] = ham[:, rows] * weights
+        resid[rows, :] -= weights[:, None] * ham[cols, :]
         for j in range(len(ops)):
             if rep[j, i] != 0:
                 resid = resid - rep[j, i] * ops[j]

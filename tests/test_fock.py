@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from quadboson import (
     BosonBasis,
@@ -9,6 +12,7 @@ from quadboson import (
     QuadraticForm,
     Reality,
     TwoModeParams,
+    adjoint_rep,
     assemble,
     bogoliubov_map,
     decompose,
@@ -25,6 +29,14 @@ from quadboson import fock
 from form_helpers import random_symmetric
 
 ROOT_04 = np.sqrt(0.4)
+
+
+def seeded_form(rng, n_modes, real):
+    """Random symmetric form; complex coefficients and offset unless real."""
+    g = random_symmetric(rng, 2 * n_modes)
+    if real:
+        return QuadraticForm(BosonBasis(n_modes), g.real, offset=float(rng.normal()))
+    return QuadraticForm(BosonBasis(n_modes), g, offset=complex(*rng.normal(size=2)))
 
 
 class TestFockMatrices:
@@ -123,6 +135,35 @@ class TestAssemble:
             expected += form.offset * np.eye(trunc.dimension)
             assert np.array_equal(assemble(form, trunc), expected)
 
+    @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4)])
+    def test_odd_mask_marks_odd_total_number(self, n_modes, cutoff):
+        occupations = itertools.product(range(cutoff), repeat=n_modes)  # mode 1 leftmost
+        expected = [sum(occ) % 2 == 1 for occ in occupations]
+        assert FockTruncation(n_modes, cutoff).odd_mask().tolist() == expected
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4)])
+    def test_no_entries_between_parity_sectors(self, rng, n_modes, cutoff, real):
+        trunc = FockTruncation(n_modes, cutoff)
+        odd = trunc.odd_mask()
+        for _ in range(3):
+            mat = assemble(seeded_form(rng, n_modes, real), trunc)
+            assert np.count_nonzero(mat[np.ix_(odd, ~odd)]) == 0
+            assert np.count_nonzero(mat[np.ix_(~odd, odd)]) == 0
+            assert np.count_nonzero(mat[np.ix_(odd, odd)]) > 0
+
+    def test_real_form_gives_real_matrix(self):
+        trunc = FockTruncation(1, 8)
+        real = one_mode(OneModeParams(0.3, 0.5))
+        assert assemble(real, trunc).dtype == np.float64
+        assert assemble(one_mode(OneModeParams(0.3 + 0.1j, 0.5)), trunc).dtype == np.complex128
+        shifted = QuadraticForm(real.basis, real.coeffs, offset=0.5j)
+        assert assemble(shifted, trunc).dtype == np.complex128
+        # an imaginary offset too small to change any real part forces the
+        # complex path; the real matrix must be its real part, bit for bit
+        complex_copy = QuadraticForm(real.basis, real.coeffs, offset=1e-300j)
+        assert np.array_equal(assemble(real, trunc), assemble(complex_copy, trunc).real)
+
 
 class TestOracleEigenvalues:
     def test_diagonal_matrix(self):
@@ -149,6 +190,16 @@ class TestOracleEigenvalues:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             oracle_eigenvalues(np.zeros((2, 3)))
+
+    def test_real_input_gives_complex_output(self):
+        values = oracle_eigenvalues(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        assert values.dtype == np.complex128
+        assert values.tolist() == [1.0, 2.0]
+        # real arithmetic returns a conjugate pair with equal real parts, so
+        # the imaginary part orders it
+        values = oracle_eigenvalues(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        assert values.dtype == np.complex128
+        assert np.allclose(values, [-1j, 1j], atol=1e-15)
 
 
 class TestPredictedLevels:
@@ -233,6 +284,45 @@ class TestVerifySpectrum:
             verify_spectrum(form, decompose(form), 3, trunc)
         assert calls == []
 
+    def test_rerun_over_cap_names_the_cap_it_needs(self):
+        # no cutoff >= 2 has a re-run under these caps
+        with pytest.raises(ValueError, match="no starting cutoff .* needs cap 22$"):
+            FockTruncation(1, 10, cap=20).grown(20)
+        with pytest.raises(ValueError, match="no starting cutoff .* needs cap 49$"):
+            FockTruncation(2, 3, cap=20).grown(5)
+        FockTruncation(2, 2, cap=49).grown(5)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("n_modes,cutoff", [(1, 12), (2, 6), (3, 4)])
+    def test_spectrum_matches_full_complex_solve(self, rng, n_modes, cutoff, real):
+        trunc = FockTruncation(n_modes, cutoff)
+        for _ in range(2):
+            form = seeded_form(rng, n_modes, real)
+            values = verify_spectrum(form, decompose(form), 1, trunc).eigenvalues
+            assert np.all(np.diff(values.real) >= 0.0)
+            full = np.linalg.eigvals(assemble(form, trunc).astype(complex))
+            # conjugate pairs of a real matrix may tie on the real part and
+            # swap places, so pair the two spectra by an optimal matching
+            dist = np.abs(values[:, None] - full[None, :])
+            rows, cols = linear_sum_assignment(dist)
+            assert np.max(dist[rows, cols]) <= 1e-10 * np.max(np.abs(full))
+
+    def test_one_real_solve_per_parity_block(self, monkeypatch):
+        form = two_mode(TwoModeParams(0.1, 0.2, 0.3))
+        decomp = decompose(form)
+        shapes = []
+
+        def counted(matrix, _solve=np.linalg.eigvals):
+            assert np.isrealobj(matrix)
+            shapes.append(matrix.shape)
+            return _solve(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        # 49 states (25 even, 24 odd), re-run at cutoff 12: 144 states (72 + 72)
+        report = verify_spectrum(form, decomp, 3, FockTruncation(2, 7), tol=1e-2)
+        assert shapes == [(25, 25), (24, 24), (72, 72), (72, 72)]
+        assert report.eigenvalues.size == 49
+
 
 class TestVerifyAdjointAction:
     @pytest.mark.parametrize(
@@ -258,6 +348,26 @@ class TestVerifyAdjointAction:
         report = verify_adjoint_action(form, trunc)
         assert max(report.full_residuals) > 1.0  # corner is corrupted
         assert report.max_interior < 1e-12
+
+    def test_residuals_match_dense_products(self, rng):
+        # reference: the commutator from two dense full-size products
+        form = seeded_form(rng, 2, real=False)
+        trunc = FockTruncation(2, 7)
+        ops = fock_matrices(trunc)
+        ham = assemble(form, trunc)
+        rep = adjoint_rep(form)
+        mask = trunc.interior_mask()
+        interior, full = [], []
+        for i, op in enumerate(ops):
+            resid = ham @ op - op @ ham
+            for j in range(len(ops)):
+                if rep[j, i] != 0:
+                    resid = resid - rep[j, i] * ops[j]
+            full.append(float(np.max(np.abs(resid))))
+            interior.append(float(np.max(np.abs(resid[np.ix_(mask, mask)]))))
+        report = verify_adjoint_action(form, trunc)
+        assert report.full_residuals == tuple(full)
+        assert report.interior_residuals == tuple(interior)
 
     def test_zero_form_is_exact(self):
         form = QuadraticForm(BosonBasis(1), np.zeros((2, 2)))
