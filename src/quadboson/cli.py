@@ -84,11 +84,16 @@ class ModelConfig:
     raw_bytes: bytes = b""
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """Whether value is a JSON number of the given kinds; JSON true/false are not numbers."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _as_complex(value, field):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
+            and all(_is_number(v) for v in value)):
         return complex(value[0], value[1])
     raise ConfigError(f"field '{field}': expected a number or [re, im] pair, got {value!r}")
 
@@ -126,7 +131,7 @@ def load_config(path: str) -> ModelConfig:
     alpha = _as_complex(data.get("alpha", 0.0), "alpha")
     beta = _as_complex(data.get("beta", 0.0), "beta")
     gamma = data.get("gamma", 0.0)
-    if not isinstance(gamma, (int, float)):
+    if not _is_number(gamma):
         raise ConfigError("field 'gamma': must be a real number")
 
     matrix = None
@@ -148,11 +153,11 @@ def load_config(path: str) -> ModelConfig:
     nmax = oracle.get("nmax", 40)
     levels = oracle.get("levels", 5)
     tol = oracle.get("tol", 1e-6)
-    if not isinstance(nmax, int) or nmax < 2:
+    if not _is_number(nmax, int) or nmax < 2:
         raise ConfigError("field 'oracle.nmax': must be an integer >= 2")
-    if not isinstance(levels, int) or levels < 1:
+    if not _is_number(levels, int) or levels < 1:
         raise ConfigError("field 'oracle.levels': must be a positive integer")
-    if not isinstance(tol, (int, float)) or tol <= 0:
+    if not _is_number(tol) or tol <= 0:
         raise ConfigError("field 'oracle.tol': must be a positive number")
 
     axes = []
@@ -166,14 +171,12 @@ def load_config(path: str) -> ModelConfig:
                 f"(choose from {', '.join(_SWEEPABLE[kind]) or 'none'})"
             )
         steps = axis.get("steps")
-        if not isinstance(steps, int) or steps < 1:
+        if not _is_number(steps, int) or steps < 1:
             raise ConfigError(f"field 'sweep[{pos}].steps': must be a positive integer")
-        try:
-            start = float(axis["start"])
-            stop = float(axis["stop"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"field 'sweep[{pos}]': start and stop must be numbers") from None
-        axes.append(SweepAxis(name, start, stop, steps))
+        for end in ("start", "stop"):
+            if not _is_number(axis.get(end)):
+                raise ConfigError(f"field 'sweep[{pos}].{end}': must be a number")
+        axes.append(SweepAxis(name, float(axis["start"]), float(axis["stop"]), steps))
     if len(axes) > 2:
         raise ConfigError("field 'sweep': at most two swept parameters")
 

@@ -1,19 +1,18 @@
 """Brute-force verification in a truncated number basis.
 
 Every quadratic form can be assembled as a dense matrix on the product
-Fock space with each mode cut off at nmax levels. Diagonalizing that
-matrix gives an oracle for the ladder-operator predictions that knows
-nothing about the algebraic construction. Every quadratic term changes
-the total boson number by 0 or +/-2, so the matrix is block-diagonal in
-total-number parity and the oracle diagonalizes the two blocks apart, in
-real arithmetic when the form is real. Truncation corrupts matrix
-elements near the cutoff, so all comparisons restrict to interior blocks
-and convergence is confirmed by re-running at a larger cutoff.
+Fock space with each mode cut off at nmax levels, term by term from index
+maps on the basis' occupation table. Diagonalizing that matrix gives an
+oracle for the ladder-operator predictions that knows nothing about the
+algebraic construction. Every quadratic term changes the total boson
+number by 0 or +/-2, so the matrix is block-diagonal in total-number
+parity and the oracle solves the two blocks apart, in real arithmetic
+when the form is real. Truncation corrupts elements near the cutoff, so
+comparisons use interior blocks and are re-run at a larger cutoff.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -43,71 +42,75 @@ class FockTruncation:
         if self.cutoff < 2:
             raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
         if self.dimension > self.cap:
-            raise ValueError(
-                f"truncated dimension {self.dimension} exceeds cap {self.cap}; "
-                f"largest feasible cutoff for {self.n_modes} mode(s) is {_largest_cutoff(self)}"
-            )
+            raise _cap_error(self, 0, f"truncated dimension {self.dimension}")
 
     @property
     def dimension(self) -> int:
         return self.cutoff ** self.n_modes
 
+    def occupations(self) -> np.ndarray:
+        """(dimension, n_modes) table of the basis states' occupations, mode 1 slowest."""
+        return np.indices((self.cutoff,) * self.n_modes).reshape(self.n_modes, -1).T
+
     def grown(self, stride: int) -> "FockTruncation":
         """Truncation `stride` levels larger under the same cap, for a convergence re-run."""
         bigger = self.cutoff + stride
         if bigger ** self.n_modes > self.cap:
-            largest = _largest_cutoff(self) - stride
-            hint = (
-                f"largest feasible cutoff for {self.n_modes} mode(s) with that re-run is {largest}"
-                if largest >= 2 else
-                f"no starting cutoff for {self.n_modes} mode(s) fits; the smallest re-run "
-                f"(cutoff {2 + stride}) needs cap {(2 + stride) ** self.n_modes}"
-            )
-            raise ValueError(f"convergence re-run at cutoff {bigger} exceeds cap {self.cap}; {hint}")
+            raise _cap_error(self, stride, f"convergence re-run at cutoff {bigger}")
         return FockTruncation(self.n_modes, bigger, self.cap)
 
     def interior_mask(self) -> np.ndarray:
         """Boolean mask of basis states with every mode index < cutoff - 2."""
-        keep = np.arange(self.cutoff) < self.cutoff - 2
-        return functools.reduce(np.kron, [keep] * self.n_modes)
+        return np.all(self.occupations() < self.cutoff - 2, axis=1)
 
     def odd_mask(self) -> np.ndarray:
         """Boolean mask of basis states whose total boson number is odd."""
-        sign = 1 - 2 * (np.arange(self.cutoff) % 2)
-        return functools.reduce(np.kron, [sign] * self.n_modes) < 0
+        return self.occupations().sum(axis=1) % 2 == 1
 
 
-def _largest_cutoff(trunc: FockTruncation) -> int:
-    """Largest r with r ** n_modes <= cap; the float root is rounded, then corrected."""
-    root = round(trunc.cap ** (1.0 / trunc.n_modes))
+def _cap_error(trunc: FockTruncation, stride: int, what: str) -> ValueError:
+    """`what` exceeds the cap: name the largest starting cutoff that fits, else the cap needed."""
+    root = round(trunc.cap ** (1.0 / trunc.n_modes))  # then corrected to the exact integer root
     while root ** trunc.n_modes > trunc.cap:
         root -= 1
-    return root
+    if root - stride >= 2:
+        rerun = " with that re-run" if stride else ""
+        hint = f"largest feasible cutoff for {trunc.n_modes} mode(s){rerun} is {root - stride}"
+    else:
+        run = "re-run" if stride else "run"
+        hint = (f"no starting cutoff for {trunc.n_modes} mode(s) fits; the smallest {run} "
+                f"(cutoff {2 + stride}) needs cap {(2 + stride) ** trunc.n_modes}")
+    return ValueError(f"{what} exceeds cap {trunc.cap}; {hint}")
 
 
-def _product(trunc: FockTruncation, indices) -> np.ndarray:
-    """Truncated matrix of O_i O_j .. (0-based basis indices) as one Kronecker product.
+def _product(trunc: FockTruncation, indices) -> tuple:
+    """Truncated O_i O_j .. (0-based basis indices) as an index map (rows, cols, weights).
 
-    Mode m's factor is the product of its own a / a^dag (a[n-1, n] = sqrt(n)), in
-    order, identity if none; mode 1 is leftmost. Right-multiplying by a (a^dag) moves
-    column c - 1 (c + 1) to c scaled by sqrt(c) (sqrt(c + 1)), with no dense product.
+    Basis state cols[n] goes to rows[n] with weight weights[n], every other state to
+    zero. The rightmost operator acts first (a|n> = sqrt(n) |n-1>, a^dag|n> =
+    sqrt(n+1) |n+1>); a state pushed out of the table is dropped at that step.
     """
-    nmax, k = trunc.cutoff, trunc.n_modes
-    root = np.sqrt(np.arange(nmax))
-    factors = [np.eye(nmax) for _ in range(k)]
-    for i in indices:
-        moved = np.zeros((nmax, nmax))
-        if i < k:
-            moved[:, 1:] = factors[i % k][:, :-1] * root[1:]
-        else:
-            moved[:, :-1] = factors[i % k][:, 1:] * root[1:]
-        factors[i % k] = moved
-    return functools.reduce(np.kron, factors)
+    occ = trunc.occupations()
+    cols = np.arange(trunc.dimension)
+    weights = np.ones(trunc.dimension)
+    for i in reversed(indices):
+        mode = i % trunc.n_modes
+        moved = occ[:, mode] + (1 if i >= trunc.n_modes else -1)
+        weights = weights * np.sqrt(np.maximum(occ[:, mode], moved))
+        inside = (moved >= 0) & (moved < trunc.cutoff)
+        occ, cols, weights = occ[inside], cols[inside], weights[inside]
+        occ[:, mode] = moved[inside]
+    rows = np.ravel_multi_index(occ.T, (trunc.cutoff,) * trunc.n_modes)
+    return rows, cols, weights
 
 
 def fock_matrices(trunc: FockTruncation) -> list[np.ndarray]:
-    """Truncated matrices of (a_1..a_K, a_1^dag..a_K^dag): I x .. x a x .. x I, mode 1 leftmost."""
-    return [_product(trunc, [i]) for i in range(2 * trunc.n_modes)]
+    """Truncated matrices of (a_1..a_K, a_1^dag..a_K^dag), each scattered from its index map."""
+    mats = np.zeros((2 * trunc.n_modes, trunc.dimension, trunc.dimension))
+    for i, mat in enumerate(mats):
+        rows, cols, weights = _product(trunc, [i])
+        mat[rows, cols] = weights
+    return list(mats)
 
 
 def assemble(form: QuadraticForm, trunc: FockTruncation) -> np.ndarray:
@@ -125,9 +128,10 @@ def assemble(form: QuadraticForm, trunc: FockTruncation) -> np.ndarray:
         g, offset = g.real, offset.real
     out = np.zeros((trunc.dimension, trunc.dimension), dtype=g.dtype)
     for i, j in zip(*np.nonzero(g)):
-        out += g[i, j] * _product(trunc, (i, j))
+        rows, cols, weights = _product(trunc, (i, j))
+        out[rows, cols] += g[i, j] * weights
     if offset != 0:
-        out += offset * np.eye(trunc.dimension)
+        out[np.diag_indices(trunc.dimension)] += offset
     return out
 
 
@@ -250,22 +254,18 @@ def verify_adjoint_action(form: QuadraticForm, trunc: FockTruncation) -> Adjoint
     cutoff - 2 must vanish to round-off; the full-matrix residual keeps
     the truncation-corrupted corner for inspection.
     """
-    ops = fock_matrices(trunc)
+    maps = [_product(trunc, [i]) for i in range(2 * trunc.n_modes)]
     ham = assemble(form, trunc)
     rep = adjoint_rep(form)
     mask = trunc.interior_mask()
     interior, full = [], []
-    for i, op in enumerate(ops):
-        # op has at most one nonzero per row and column, so ham @ op gathers
-        # weighted columns of ham and op @ ham weighted rows
-        rows, cols = np.nonzero(op)
-        weights = op[rows, cols]
-        resid = np.zeros_like(ham)
+    for i, (rows, cols, weights) in enumerate(maps):
+        # O_i has one entry per used row and column: ham @ O_i and O_i @ ham are gathers
+        resid = np.zeros(ham.shape, dtype=complex)
         resid[:, cols] = ham[:, rows] * weights
         resid[rows, :] -= weights[:, None] * ham[cols, :]
-        for j in range(len(ops)):
-            if rep[j, i] != 0:
-                resid = resid - rep[j, i] * ops[j]
+        for j, (rows_j, cols_j, weights_j) in enumerate(maps):
+            resid[rows_j, cols_j] -= rep[j, i] * weights_j
         full.append(float(np.max(np.abs(resid))))
         interior.append(float(np.max(np.abs(resid[np.ix_(mask, mask)]))))
     return AdjointActionReport(tuple(interior), tuple(full))

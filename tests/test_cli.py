@@ -309,6 +309,35 @@ class TestTransform:
         assert main(["analyze", "--config", "/nonexistent/cfg.json"]) == 1
 
 
+CUSTOM = {
+    "model": "custom",
+    "matrix": [[[0.3, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]],
+    "offset": [0.0, 0.0],
+}
+AXIS = {"parameter": "alpha_re", "start": 0.0, "stop": 1.0, "steps": 3}
+BOOLEAN_FIELDS = [
+    ("alpha", dict(ONE_MODE, alpha=True)),
+    ("beta", dict(ONE_MODE, beta=[0.5, True])),
+    ("gamma", dict(TWO_MODE, gamma=True)),
+    ("offset", dict(CUSTOM, offset=True)),
+    ("matrix", dict(CUSTOM, matrix=[[True, [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]])),
+    ("oracle.nmax", dict(ONE_MODE, oracle={"nmax": True})),
+    ("oracle.levels", dict(ONE_MODE, oracle={"levels": True})),
+    ("oracle.tol", dict(ONE_MODE, oracle={"tol": True})),
+    ("sweep[0].steps", dict(ONE_MODE, sweep=[dict(AXIS, steps=True)])),
+    ("sweep[0].start", dict(ONE_MODE, sweep=[dict(AXIS, start=True)])),
+    ("sweep[0].stop", dict(ONE_MODE, sweep=[dict(AXIS, stop=True)])),
+]
+
+
+@pytest.mark.parametrize("field,config", BOOLEAN_FIELDS, ids=[f for f, _ in BOOLEAN_FIELDS])
+def test_json_boolean_is_not_a_number(tmp_path, capsys, field, config):
+    # Python's bool is an int, so true must be refused explicitly, not read as 1
+    code = main(["analyze", "--config", write_config(tmp_path, config)])
+    assert code == 1
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
 def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch):
     # EP detection, reality classification and ladder extraction all read
     # the same eigendecomposition.

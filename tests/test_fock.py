@@ -1,4 +1,6 @@
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +69,18 @@ class TestFockMatrices:
         assert np.array_equal(ops[2], ops[0].T)
         assert np.array_equal(ops[3], ops[1].T)
 
+    @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4)])
+    def test_matches_kronecker_reference(self, n_modes, cutoff):
+        # independent reference: the one-mode a embedded by np.kron, mode 1 leftmost
+        a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
+        ops = fock_matrices(FockTruncation(n_modes, cutoff))
+        for mode in range(n_modes):
+            factors = [np.eye(cutoff)] * n_modes
+            factors[mode] = a
+            embedded = functools.reduce(np.kron, factors)
+            assert np.array_equal(ops[mode], embedded)
+            assert np.array_equal(ops[n_modes + mode], embedded.T)
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="feasible cutoff"):
             FockTruncation(2, 100)
@@ -75,6 +89,9 @@ class TestFockMatrices:
         with pytest.raises(ValueError, match="feasible cutoff for 3 mode.s. is 16$"):
             FockTruncation(3, 17)
         FockTruncation(3, 16)
+        # cutoffs start at 2, so a cap below 2 ** n_modes admits none
+        with pytest.raises(ValueError, match="no starting cutoff .* run .cutoff 2. needs cap 4$"):
+            FockTruncation(2, 2, cap=3)
 
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
@@ -141,6 +158,14 @@ class TestAssemble:
         expected = [sum(occ) % 2 == 1 for occ in occupations]
         assert FockTruncation(n_modes, cutoff).odd_mask().tolist() == expected
 
+    @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4)])
+    def test_interior_mask_marks_every_mode_below_cutoff_minus_2(self, n_modes, cutoff):
+        occupations = list(itertools.product(range(cutoff), repeat=n_modes))  # mode 1 leftmost
+        trunc = FockTruncation(n_modes, cutoff)
+        assert trunc.occupations().tolist() == [list(occ) for occ in occupations]
+        expected = [max(occ) < cutoff - 2 for occ in occupations]
+        assert trunc.interior_mask().tolist() == expected
+
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4)])
     def test_no_entries_between_parity_sectors(self, rng, n_modes, cutoff, real):
@@ -163,6 +188,18 @@ class TestAssemble:
         # complex path; the real matrix must be its real part, bit for bit
         complex_copy = QuadraticForm(real.basis, real.coeffs, offset=1e-300j)
         assert np.array_equal(assemble(real, trunc), assemble(complex_copy, trunc).real)
+
+    def test_assembly_allocates_no_dense_temporaries(self, rng):
+        # each term is scattered from an index map of a few vectors; a dense
+        # full-size temporary per term would double the peak
+        form = seeded_form(rng, 3, real=False)
+        tracemalloc.start()
+        try:
+            mat = assemble(form, FockTruncation(3, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * mat.nbytes
 
 
 class TestOracleEigenvalues:
