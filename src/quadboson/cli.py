@@ -12,7 +12,6 @@ Config files are JSON; complex numbers are two-element [re, im] arrays.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -85,8 +84,10 @@ class ModelConfig:
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
-    """Whether value is a JSON number of the given kinds; JSON true/false are not numbers."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    """Whether value is a JSON number of the given kinds that a float holds finitely;
+    JSON true/false are not numbers, nor are the NaN/Infinity literals json reads."""
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _as_complex(value, field):
@@ -109,7 +110,8 @@ def _parse_matrix(entries, field):
     return mat
 
 
-def load_config(path: str) -> ModelConfig:
+def load_config(path: str, overrides: dict | None = None) -> ModelConfig:
+    """Read and check a config; non-None `overrides` replace oracle settings first."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -150,18 +152,22 @@ def load_config(path: str) -> ModelConfig:
     oracle = data.get("oracle", {})
     if not isinstance(oracle, dict):
         raise ConfigError("field 'oracle': must be an object")
+    oracle = {**oracle, **{k: v for k, v in (overrides or {}).items() if v is not None}}
     nmax = oracle.get("nmax", 40)
     levels = oracle.get("levels", 5)
     tol = oracle.get("tol", 1e-6)
     if not _is_number(nmax, int) or nmax < 2:
-        raise ConfigError("field 'oracle.nmax': must be an integer >= 2")
+        raise ConfigError("field 'oracle.nmax' (--nmax): must be an integer >= 2")
     if not _is_number(levels, int) or levels < 1:
-        raise ConfigError("field 'oracle.levels': must be a positive integer")
+        raise ConfigError("field 'oracle.levels' (--levels): must be a positive integer")
     if not _is_number(tol) or tol <= 0:
-        raise ConfigError("field 'oracle.tol': must be a positive number")
+        raise ConfigError("field 'oracle.tol' (--tol): must be a positive finite number")
 
+    sweep = data.get("sweep", [])
+    if not isinstance(sweep, list):
+        raise ConfigError("field 'sweep': must be a list of axis objects")
     axes = []
-    for pos, axis in enumerate(data.get("sweep", [])):
+    for pos, axis in enumerate(sweep):
         if not isinstance(axis, dict):
             raise ConfigError(f"field 'sweep[{pos}]': must be an object")
         name = axis.get("parameter")
@@ -256,11 +262,7 @@ def cmd_analyze(config: ModelConfig) -> int:
                 f"degenerate cluster lambda={_fmt_c(c.value)}: algebraic {c.algebraic}, "
                 f"geometric {c.geometric}"
             )
-    try:
-        decomp = normalize_pairs(ladders, commutator_matrix(form.basis), offset=form.offset)
-    except ExceptionalPointError as exc:
-        print(f"exceptional point: {exc}")
-        return EXIT_EXCEPTIONAL
+    decomp = normalize_pairs(ladders, commutator_matrix(form.basis), offset=form.offset)
     print("frequencies: " + ", ".join(_fmt_c(f) for f in decomp.frequencies))
     print(f"ground energy: {_fmt_c(decomp.ground_energy)}")
     for idx, (low, high) in enumerate(decomp.pairs, start=1):
@@ -315,11 +317,7 @@ def cmd_sweep(config: ModelConfig, out_path: str | None) -> int:
 
 def cmd_oracle(config: ModelConfig, allow_complex: bool) -> int:
     form = _build_form(config)
-    try:
-        decomp = decompose(form)
-    except ExceptionalPointError as exc:
-        print(f"exceptional point: {exc}")
-        return EXIT_EXCEPTIONAL
+    decomp = decompose(form)
 
     if decomp.reality is not Reality.ALL_REAL and not allow_complex:
         print(
@@ -349,14 +347,9 @@ def cmd_transform(config: ModelConfig, s11: float, with_oracle: bool) -> int:
     if config.kind != "one_mode":
         raise ConfigError("field 'model': transform requires a one_mode model")
     params = OneModeParams(config.alpha, config.beta)
-    try:
-        cmap = bogoliubov_map(params, s11)
-    except ExceptionalPointError as exc:
-        print(f"exceptional point: {exc}")
-        return EXIT_EXCEPTIONAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    cmap = bogoliubov_map(params, s11)
+    # the metric check runs before any output, so a refused cutoff prints nothing else
+    metric = verify_metric(params, cmap, FockTruncation(1, config.nmax)) if with_oracle else None
 
     s = cmap.matrix
     alpha, beta = params.alpha, params.beta
@@ -374,9 +367,7 @@ def cmd_transform(config: ModelConfig, s11: float, with_oracle: bool) -> int:
     gen = generator_coeffs(cmap)
     _print_matrix("generator coefficients", gen.coeffs)
 
-    if with_oracle:
-        trunc = FockTruncation(1, config.nmax)
-        metric = verify_metric(params, cmap, trunc)
+    if metric is not None:
         print(f"metric interior size: {metric.interior_size}")
         print(f"quasi-hermiticity residual: {_fmt(metric.residual)}")
         print(f"min metric eigenvalue: {_fmt(metric.min_metric_eigenvalue)}")
@@ -420,12 +411,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        for field in ("nmax", "levels", "tol"):
-            value = getattr(args, field, None)
-            if value is not None:
-                config = dataclasses.replace(config, **{field: value})
-
+        flags = {name: getattr(args, name, None) for name in ("nmax", "levels", "tol")}
+        config = load_config(args.config, flags)
         if args.command == "analyze":
             return cmd_analyze(config)
         if args.command == "sweep":
@@ -433,6 +420,9 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(config, args.allow_complex)
         return cmd_transform(config, args.s11, args.oracle)
+    except ExceptionalPointError as exc:
+        print(f"exceptional point: {exc}")
+        return EXIT_EXCEPTIONAL
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

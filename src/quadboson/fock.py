@@ -211,6 +211,8 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
     """
     if levels < 1:
         raise ValueError("levels must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if levels > trunc.dimension:
         raise ValueError(
             f"cannot match {levels} levels from a {trunc.dimension}-state truncation"

@@ -114,7 +114,7 @@ def bogoliubov_map(params: OneModeParams, s11: float) -> CanonicalMap:
     divides by beta; build the map from the ladder eigenvectors instead).
     """
     s = complex(s11)
-    if s.imag != 0.0 or s.real <= 0.0:
+    if s.imag != 0.0 or not 0.0 < s.real < np.inf:
         raise ValueError(f"s11 must be a positive real number, got {s11!r}")
     s11 = s.real
     alpha, beta = params.alpha, params.beta

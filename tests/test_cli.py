@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadboson import TwoModeParams, decompose, two_mode
+from quadboson import ExceptionalPointError, TwoModeParams, cli, decompose, two_mode
 from quadboson.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -288,6 +288,9 @@ class TestTransform:
         path = write_config(tmp_path, ONE_MODE)
         assert main(["transform", "--config", path, "--s11", "-2.0"]) == 1
         assert "positive real" in capsys.readouterr().err
+        assert main(["transform", "--config", path, "--s11", "nan"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "positive real" in err
 
     def test_requires_one_mode(self, tmp_path, capsys):
         code = main(["transform", "--config", write_config(tmp_path, TWO_MODE)])
@@ -336,6 +339,57 @@ def test_json_boolean_is_not_a_number(tmp_path, capsys, field, config):
     code = main(["analyze", "--config", write_config(tmp_path, config)])
     assert code == 1
     assert f"field '{field}'" in capsys.readouterr().err
+
+
+NAN_AXIS = dict(AXIS, start=float("nan"))
+REFUSED_SETTINGS = [
+    ("oracle --tol -1", ["oracle", "--tol", "-1"], ONE_MODE, "field 'oracle.tol' (--tol)"),
+    ("oracle --tol nan", ["oracle", "--tol", "nan"], ONE_MODE, "field 'oracle.tol' (--tol)"),
+    ("oracle --tol inf", ["oracle", "--tol", "inf"], ONE_MODE, "field 'oracle.tol' (--tol)"),
+    ("oracle --nmax 1", ["oracle", "--nmax", "1"], ONE_MODE, "field 'oracle.nmax' (--nmax)"),
+    ("transform --nmax 1", ["transform", "--oracle", "--nmax", "1"], ONE_MODE,
+     "field 'oracle.nmax' (--nmax)"),
+    ("tol NaN", ["oracle"], dict(ONE_MODE, oracle={"tol": float("nan")}), "field 'oracle.tol'"),
+    ("tol Infinity", ["oracle"], dict(ONE_MODE, oracle={"tol": float("inf")}),
+     "field 'oracle.tol'"),
+    ("alpha NaN", ["analyze"], dict(ONE_MODE, alpha=float("nan")), "field 'alpha'"),
+    ("alpha Infinity", ["analyze"], dict(ONE_MODE, alpha=[0.3, float("inf")]), "field 'alpha'"),
+    ("alpha 10**400", ["analyze"], dict(ONE_MODE, alpha=10**400), "field 'alpha'"),
+    ("start NaN", ["sweep"], dict(ONE_MODE, sweep=[NAN_AXIS]), "field 'sweep[0].start'"),
+    ("sweep 5", ["sweep"], dict(ONE_MODE, sweep=5), "field 'sweep': must be a list"),
+    ("sweep null", ["sweep"], dict(ONE_MODE, sweep=None), "field 'sweep': must be a list"),
+    ("sweep object", ["sweep"], dict(ONE_MODE, sweep=AXIS), "field 'sweep': must be a list"),
+    ("transform --nmax 5000", ["transform", "--oracle", "--nmax", "5000"], ONE_MODE,
+     "largest feasible cutoff for 1 mode(s) is 4096"),
+]
+
+
+@pytest.mark.parametrize("argv,config,named", [r[1:] for r in REFUSED_SETTINGS],
+                         ids=[r[0] for r in REFUSED_SETTINGS])
+def test_refused_setting_prints_one_error_line(tmp_path, capsys, argv, config, named):
+    # a flag is checked exactly like its config field, json's NaN/Infinity literals
+    # are refused like any other non-number, and nothing is printed before the refusal
+    code = main([argv[0], "--config", write_config(tmp_path, config), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and named in err
+
+
+def test_exceptional_point_error_maps_to_exit_2(tmp_path, capsys, monkeypatch):
+    def at_ep(*args, **kwargs):
+        raise ExceptionalPointError("pair normalization hit a zero commutator")
+
+    monkeypatch.setattr(cli, "normalize_pairs", at_ep)
+    assert main(["analyze", "--config", write_config(tmp_path, ONE_MODE)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith("exceptional point:")
+    assert err == ""
+    ep = write_config(tmp_path, {"model": "one_mode", "alpha": [0.5, 0.0], "beta": [0.5, 0.0]})
+    for command in ("oracle", "transform"):
+        assert main([command, "--config", ep]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("exceptional point:") and err == ""
 
 
 def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch):

@@ -305,10 +305,15 @@ class TestVerifySpectrum:
         sums = sums[np.lexsort((sums.imag, sums.real))]
         assert np.max(np.abs(ev2[:8] - sums[:8])) < 1e-10
 
-    def test_levels_validation(self):
-        form = one_mode(OneModeParams(0.0, 0.0))
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_levels_validation(self, tol):
+        form = one_mode(OneModeParams(0.3, 0.5))
+        decomp = decompose(form)
         with pytest.raises(ValueError):
-            verify_spectrum(form, decompose(form), 0, FockTruncation(1, 10))
+            verify_spectrum(form, decomp, 0, FockTruncation(1, 10))
+        # at nmax 12 the levels miss by 0.35: an infinite tol would pass them
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_spectrum(form, decomp, 3, FockTruncation(1, 12), tol=tol)
 
     def test_rerun_respects_cap(self, monkeypatch):
         form = two_mode(TwoModeParams(0.1, 0.2, 0.3))
