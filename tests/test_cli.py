@@ -238,7 +238,9 @@ class TestOracle:
     def test_exceptional_point_exit(self, tmp_path, capsys):
         config = {"model": "one_mode", "alpha": [0.5, 0.0], "beta": [0.5, 0.0]}
         code = main(["oracle", "--config", write_config(tmp_path, config)])
+        out, err = capsys.readouterr()
         assert code == 2
+        assert out.startswith("exceptional point:") and err == ""
 
     def test_cap_exceeded_suggests_cutoff(self, tmp_path, capsys):
         config = dict(TWO_MODE, oracle={"nmax": 90, "levels": 3, "tol": 1e-4})
@@ -280,9 +282,9 @@ class TestTransform:
     def test_breaks_down_at_ep(self, tmp_path, capsys):
         config = {"model": "one_mode", "alpha": [0.5, 0.0], "beta": [0.5, 0.0]}
         code = main(["transform", "--config", write_config(tmp_path, config)])
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert code == 2
-        assert "1/4" in out
+        assert "1/4" in out and err == ""
 
     def test_rejects_nonpositive_gauge(self, tmp_path, capsys):
         path = write_config(tmp_path, ONE_MODE)
@@ -377,6 +379,7 @@ def test_refused_setting_prints_one_error_line(tmp_path, capsys, argv, config, n
 
 
 def test_exceptional_point_error_maps_to_exit_2(tmp_path, capsys, monkeypatch):
+    # main, not the command, turns the error into exit 2 with the message on stdout
     def at_ep(*args, **kwargs):
         raise ExceptionalPointError("pair normalization hit a zero commutator")
 
@@ -385,11 +388,6 @@ def test_exceptional_point_error_maps_to_exit_2(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out.splitlines()[-1].startswith("exceptional point:")
     assert err == ""
-    ep = write_config(tmp_path, {"model": "one_mode", "alpha": [0.5, 0.0], "beta": [0.5, 0.0]})
-    for command in ("oracle", "transform"):
-        assert main([command, "--config", ep]) == 2
-        out, err = capsys.readouterr()
-        assert out.startswith("exceptional point:") and err == ""
 
 
 def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch):
