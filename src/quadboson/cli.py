@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -54,6 +55,8 @@ _SWEEPABLE = {
     "two_mode": ("alpha_re", "alpha_im", "beta_re", "beta_im", "gamma"),
     "custom": (),
 }
+# Criterion 9's 101x101 grid is the largest in use; a grid this size takes minutes.
+_MAX_SWEEP_POINTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -176,6 +179,8 @@ def load_config(path: str, overrides: dict | None = None) -> ModelConfig:
                 f"field 'sweep[{pos}].parameter': '{name}' not sweepable for {kind} "
                 f"(choose from {', '.join(_SWEEPABLE[kind]) or 'none'})"
             )
+        if any(ax.parameter == name for ax in axes):
+            raise ConfigError(f"field 'sweep[{pos}].parameter': '{name}' is already swept")
         steps = axis.get("steps")
         if not _is_number(steps, int) or steps < 1:
             raise ConfigError(f"field 'sweep[{pos}].steps': must be a positive integer")
@@ -185,6 +190,8 @@ def load_config(path: str, overrides: dict | None = None) -> ModelConfig:
         axes.append(SweepAxis(name, float(axis["start"]), float(axis["stop"]), steps))
     if len(axes) > 2:
         raise ConfigError("field 'sweep': at most two swept parameters")
+    if math.prod(ax.steps for ax in axes) > _MAX_SWEEP_POINTS:
+        raise ConfigError(f"field 'sweep': more than {_MAX_SWEEP_POINTS} grid points")
 
     return ModelConfig(
         kind=kind, alpha=alpha, beta=beta, gamma=float(gamma),

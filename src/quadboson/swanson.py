@@ -2,10 +2,12 @@
 
 One mode: H = (a^dag a + a a^dag)/2 + alpha a^2 + beta a^dag^2 at unit
 base frequency. Two modes: two identical copies coupled by
-gamma (a_1 a_2^dag + a_1^dag a_2). Both admit closed-form eigenvalues,
-ladder operators, and (for one mode) an algebraic Bogoliubov-type map
-that rotates the operator into a plain number-operator form, together
-with the generator of the similarity transformation.
+gamma (a_1 a_2^dag + a_1^dag a_2), which are two one-mode sectors in
+(a_1 +/- a_2)/sqrt(2) with base frequency 1 +/- gamma. Both admit
+closed-form eigenvalues, ladder operators (one sector solution serves
+both), and (for one mode) an algebraic Bogoliubov-type map that rotates
+the operator into a plain number-operator form, together with the
+generator of the similarity transformation.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .spectral import (
     RAISING,
     ExceptionalPointError,
     LadderOperator,
-    decompose,
 )
 
 _GENERATOR_SYMMETRY_TOL = 1e-9
@@ -75,33 +76,41 @@ def one_mode_lambdas(params: OneModeParams) -> tuple[complex, complex]:
     return -root, root
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    return vec / np.linalg.norm(vec)
+def _sector(c: float, alpha: complex, beta: complex) -> tuple[complex, np.ndarray, np.ndarray]:
+    """Frequency w and ladder pair of c (a^dag a + 1/2) + alpha a^2 + beta a^dag^2.
+
+    The adjoint matrix h = [[-c, 2 alpha], [-2 beta, c]] has eigenvalues -/+ w,
+    w = sqrt(c^2 - 4 alpha beta) on the principal branch. Each vector over
+    (a, a^dag) is read from the row of h +/- w with the larger pivot, c + w for
+    c >= 0 and c - w otherwise, so nothing divides by alpha or beta and only
+    w = 0 (the exceptional point) is singular. The lowering vector has unit
+    norm and a real non-negative a-coefficient; the raising one has [low, high] = 1.
+    """
+    w = np.sqrt(complex(c * c - 4.0 * alpha * beta))
+    if w == 0:
+        raise ExceptionalPointError(
+            f"ladder operators coalesce at alpha*beta = c^2/4 for base frequency c = {c:g} "
+            "(exceptional point)"
+        )
+    pivot = c + w if c >= 0 else c - w
+    low, high = np.array([pivot, 2.0 * beta]), np.array([2.0 * alpha, pivot])
+    if c < 0:
+        low, high = high, low
+    low = low * np.exp(-1j * np.angle(low[0])) / np.linalg.norm(low)
+    high = high / commutator_linear(low, high, commutator_matrix(BosonBasis(1)))
+    return w, low, high
 
 
 def one_mode_ladders(params: OneModeParams) -> tuple[LadderOperator, LadderOperator]:
     """Closed-form lowering/raising pair, normalized to [Z1, Z2] = 1.
 
-    The lowering vector is proportional to (1, (1 - sqrt(1-4ab))/(2a)) and
-    keeps unit norm; the raising member absorbs the normalization scale.
-    alpha = 0 falls back to the generic eigen-decomposition (the closed
-    form divides by alpha), and the coalescent case raises.
+    The sector at base frequency 1: the lowering vector is proportional to
+    (1 + sqrt(1-4ab), 2b) and keeps unit norm; the raising member absorbs the
+    normalization scale. Defined everywhere except the exceptional point
+    alpha*beta = 1/4, which raises.
     """
-    alpha, beta = params.alpha, params.beta
-    if alpha == 0:
-        dec = decompose(one_mode(params))
-        return dec.pairs[0]
-    disc = complex(1.0 - 4.0 * alpha * beta)
-    if disc == 0:
-        raise ExceptionalPointError(
-            "ladder operators coalesce at alpha*beta = 1/4 (exceptional point)"
-        )
-    root = np.sqrt(disc)
-    u = commutator_matrix(BosonBasis(1))
-    low = _unit(np.array([1.0, (1.0 - root) / (2.0 * alpha)], dtype=complex))
-    high = np.array([1.0, (1.0 + root) / (2.0 * alpha)], dtype=complex)
-    high = high / commutator_linear(low, high, u)
-    return (LadderOperator(-root, low, LOWERING), LadderOperator(root, high, RAISING))
+    w, low, high = _sector(1.0, params.alpha, params.beta)
+    return (LadderOperator(-w, low, LOWERING), LadderOperator(w, high, RAISING))
 
 
 def bogoliubov_map(params: OneModeParams, s11: float) -> CanonicalMap:
@@ -109,20 +118,15 @@ def bogoliubov_map(params: OneModeParams, s11: float) -> CanonicalMap:
 
     The map solves the unit-determinant condition together with the two
     requirements that the transformed operator commute twice with a and
-    with a^dag; s11 > 0 real fixes the leftover gauge. Undefined at the
-    exceptional point alpha*beta = 1/4 and for beta = 0 (the closed form
-    divides by beta; build the map from the ladder eigenvectors instead).
+    with a^dag; s11 > 0 real fixes the leftover gauge. Defined everywhere
+    except the exceptional point alpha*beta = 1/4 and where 1 - 4 alpha beta
+    is negative real.
     """
     s = complex(s11)
     if s.imag != 0.0 or not 0.0 < s.real < np.inf:
         raise ValueError(f"s11 must be a positive real number, got {s11!r}")
     s11 = s.real
     alpha, beta = params.alpha, params.beta
-    if beta == 0:
-        raise ValueError(
-            "beta = 0 degenerates the closed-form map coefficients; "
-            "assemble a canonical map from one_mode_ladders instead"
-        )
     disc = complex(1.0 - 4.0 * alpha * beta)
     if disc == 0:
         raise ExceptionalPointError(
@@ -135,7 +139,7 @@ def bogoliubov_map(params: OneModeParams, s11: float) -> CanonicalMap:
         )
     root = np.sqrt(disc)
     s12 = -beta / (s11 * root)
-    s21 = (s11 * root - s11) / (2.0 * beta)
+    s21 = -2.0 * alpha * s11 / (1.0 + root)
     s22 = 1.0 / (2.0 * s11 * root) + 1.0 / (2.0 * s11)
     return CanonicalMap(np.array([[s11, s12], [s21, s22]], dtype=complex))
 
@@ -196,43 +200,20 @@ def two_mode_lambdas(params: TwoModeParams) -> tuple[complex, complex, complex, 
 def two_mode_ladders(params: TwoModeParams):
     """Closed-form ladder quadruple (Z1, Z2, Z3, Z4), pairwise normalized.
 
-    Z1/Z4 live in the symmetric mode combination at frequency w+, Z2/Z3 in
-    the antisymmetric one at w-; [Z1, Z4] = [Z2, Z3] = 1 with the lowering
-    members unit-normalized. alpha = 0 falls back to the generic solver; a
-    vanishing frequency raises.
+    Z1/Z4 are the sector (x, y) at base frequency 1 + gamma embedded as
+    (x, x, y, y), at frequency w+; Z2/Z3 the sector at 1 - gamma embedded as
+    (x, -x, y, -y), at w-. [Z1, Z4] = [Z2, Z3] = 1
+    with the lowering members unit-normalized. Defined everywhere except
+    where a frequency vanishes, alpha*beta = (gamma +/- 1)^2 / 4, which raises.
     """
-    alpha, beta, gamma = params.alpha, params.beta, params.gamma
-    if alpha == 0:
-        dec = decompose(two_mode(params))
-        (z1, z4), (z2, z3) = dec.pairs
-        return z1, z2, z3, z4
-    ab4 = 4.0 * alpha * beta
-    disc_p = complex((gamma + 1.0) ** 2 - ab4)
-    disc_m = complex((gamma - 1.0) ** 2 - ab4)
-    if disc_p == 0 or disc_m == 0:
-        raise ExceptionalPointError(
-            "a ladder frequency vanishes: alpha*beta hits (gamma +/- 1)^2 / 4 "
-            "(exceptional point)"
-        )
-    wp, wm = np.sqrt(disc_p), np.sqrt(disc_m)
-    u = commutator_matrix(BosonBasis(2))
-
-    t1 = (gamma + 1.0 - wp) / (2.0 * alpha)
-    t4 = (gamma + 1.0 + wp) / (2.0 * alpha)
-    v2 = (1.0 - gamma - wm) / (2.0 * alpha)
-    v3 = (1.0 - gamma + wm) / (2.0 * alpha)
-
-    z1 = _unit(np.array([1.0, 1.0, t1, t1], dtype=complex))
-    z2 = _unit(np.array([1.0, -1.0, v2, -v2], dtype=complex))
-    z3 = np.array([1.0, -1.0, v3, -v3], dtype=complex)
-    z4 = np.array([1.0, 1.0, t4, t4], dtype=complex)
-    z3 = z3 / commutator_linear(z2, z3, u)
-    z4 = z4 / commutator_linear(z1, z4, u)
+    wp, low_p, high_p = _sector(1.0 + params.gamma, params.alpha, params.beta)
+    wm, low_m, high_m = _sector(1.0 - params.gamma, params.alpha, params.beta)
+    sym, anti = np.sqrt(0.5) * np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]])
     return (
-        LadderOperator(-wp, z1, LOWERING),
-        LadderOperator(-wm, z2, LOWERING),
-        LadderOperator(wm, z3, RAISING),
-        LadderOperator(wp, z4, RAISING),
+        LadderOperator(-wp, np.repeat(low_p, 2) * sym, LOWERING),
+        LadderOperator(-wm, np.repeat(low_m, 2) * anti, LOWERING),
+        LadderOperator(wm, np.repeat(high_m, 2) * anti, RAISING),
+        LadderOperator(wp, np.repeat(high_p, 2) * sym, RAISING),
     )
 
 

@@ -205,6 +205,32 @@ class TestSweep:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
+    def test_duplicate_axis_rejected(self, tmp_path, capsys):
+        # a second alpha_re axis would overwrite the first in every row
+        config = dict(ONE_MODE, sweep=[
+            {"parameter": "alpha_re", "start": 0.0, "stop": 0.2, "steps": 3},
+            {"parameter": "alpha_re", "start": 0.5, "stop": 0.7, "steps": 2},
+        ])
+        code = main(["sweep", "--config", write_config(tmp_path, config)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "field 'sweep[1].parameter'" in err and "already swept" in err
+
+    @pytest.mark.parametrize("steps", [[10**400], [10**299], [1001, 1000]],
+                             ids=["401 digits", "300 digits", "1001x1000"])
+    def test_grid_size_bounded(self, tmp_path, capsys, monkeypatch, steps):
+        def run_grid(*args):
+            raise AssertionError("an oversized grid reached the sweep")
+
+        monkeypatch.setattr(cli, "cmd_sweep", run_grid)
+        names = ("alpha_re", "beta_re")
+        config = dict(ONE_MODE, sweep=[dict(AXIS, parameter=name, steps=n)
+                                       for name, n in zip(names, steps)])
+        code = main(["sweep", "--config", write_config(tmp_path, config)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "field 'sweep" in err
+
 
 class TestOracle:
     def test_one_mode_pass(self, tmp_path, capsys):
@@ -309,6 +335,14 @@ class TestTransform:
         assert code == 0
         assert "quasi-hermiticity residual" in out
         assert "min metric eigenvalue" in out
+
+    def test_beta_zero_with_oracle(self, tmp_path, capsys):
+        # beta = 0 lies inside the domain of the closed-form map
+        config = {"model": "one_mode", "alpha": [0.3, 0.0], "beta": [0.0, 0.0]}
+        code = main(["transform", "--config", write_config(tmp_path, config), "--oracle"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert "[-0.3+0i, 1+0i]" in out and "min metric eigenvalue" in out
 
     def test_missing_config_file(self, capsys):
         assert main(["analyze", "--config", "/nonexistent/cfg.json"]) == 1

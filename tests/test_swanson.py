@@ -112,6 +112,15 @@ class TestOneModeLadders:
         with pytest.raises(ExceptionalPointError):
             one_mode_ladders(OneModeParams(0.5, 0.5))
 
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-9, 1e-12])
+    def test_eigenvector_property_at_small_alpha(self, alpha):
+        # a closed form that divides by alpha loses digits as alpha -> 0
+        params = OneModeParams(alpha, 0.5)
+        rep = adjoint_rep(one_mode(params))
+        for op in one_mode_ladders(params):
+            scale = np.linalg.norm(rep, np.inf) * max(1.0, np.max(np.abs(op.coeffs)))
+            assert op.residual(rep) < 1e-12 * scale
+
 
 class TestBogoliubovMap:
     def test_reference_matrix(self):
@@ -158,9 +167,12 @@ class TestBogoliubovMap:
         with pytest.raises(ExceptionalPointError):
             bogoliubov_map(OneModeParams(0.25, 1.0), 1.0)
 
-    def test_beta_zero_rejected_with_fallback_note(self):
-        with pytest.raises(ValueError, match="one_mode_ladders"):
-            bogoliubov_map(OneModeParams(0.3, 0.0), 1.0)
+    @pytest.mark.parametrize("alpha", [0.3, 0.2 + 0.1j])
+    def test_beta_zero_map_is_canonical(self, alpha):
+        s = bogoliubov_map(OneModeParams(alpha, 0.0), 1.0).matrix
+        assert abs(np.linalg.det(s) - 1.0) < 1e-12
+        assert abs(alpha * s[0, 0] ** 2 + s[0, 0] * s[1, 0]) < 1e-12
+        assert abs(alpha * s[0, 1] ** 2 + s[0, 1] * s[1, 1]) < 1e-12
 
     def test_gauge_validation(self):
         params = OneModeParams(0.3, 0.5)
@@ -327,9 +339,61 @@ class TestTwoModeLadders:
         assert abs(commutator_linear(z1.coeffs, z4.coeffs, u) - 1.0) < 1e-10
         assert abs(commutator_linear(z2.coeffs, z3.coeffs, u) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-9, 1e-12])
+    def test_eigenvector_property_at_small_alpha(self, alpha):
+        params = TwoModeParams(alpha, 0.5, 0.3)
+        rep = adjoint_rep(two_mode(params))
+        for op in two_mode_ladders(params):
+            scale = np.linalg.norm(rep, np.inf) * max(1.0, np.max(np.abs(op.coeffs)))
+            assert op.residual(rep) < 1e-12 * scale
+
+    @pytest.mark.parametrize("gamma", [-1.7, -0.4, 1.4])
+    def test_alpha_zero_follows_lambdas_in_order(self, gamma):
+        params = TwoModeParams(0.0, 0.3, gamma)
+        ladders = two_mode_ladders(params)
+        assert np.allclose([z.eigenvalue for z in ladders], two_mode_lambdas(params),
+                           rtol=0.0, atol=1e-15)
+        u = commutator_matrix(BosonBasis(2))
+        comm = np.array([[commutator_linear(a.coeffs, b.coeffs, u) for b in ladders]
+                         for a in ladders])
+        assert abs(comm[0, 3] - 1.0) < 1e-12 and abs(comm[1, 2] - 1.0) < 1e-12
+        for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
+            assert abs(comm[i, j]) < 1e-12
+
     def test_vanishing_frequency_raises(self):
         with pytest.raises(ExceptionalPointError):
             two_mode_ladders(TwoModeParams(0.25, 0.25, 0.5))
+
+
+def test_closed_forms_at_random_points(rng):
+    # eigenvector property and phase convention, on both sides of |gamma| = 1
+    for _ in range(100):
+        alpha, beta = (complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(2))
+        gamma = rng.uniform(-2.0, 2.0)
+        for form, ladders in (
+            (one_mode(OneModeParams(alpha, beta)), one_mode_ladders(OneModeParams(alpha, beta))),
+            (two_mode(TwoModeParams(alpha, beta, gamma)),
+             two_mode_ladders(TwoModeParams(alpha, beta, gamma))),
+        ):
+            rep = adjoint_rep(form)
+            for op in ladders:
+                scale = np.linalg.norm(rep, np.inf) * max(1.0, np.max(np.abs(op.coeffs)))
+                assert op.residual(rep) < 1e-12 * scale
+                if op.role == "lowering":
+                    assert abs(np.linalg.norm(op.coeffs) - 1.0) < 1e-15
+                    assert op.coeffs[0].real > 0.0 and abs(op.coeffs[0].imag) < 1e-15
+
+
+def test_closed_forms_need_no_eigensolver(monkeypatch):
+    # a cross-check of decompose must not call the eigensolver it checks
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed form called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    one_mode_ladders(OneModeParams(0.0, 0.3))
+    for gamma in (-1.7, -0.4, 0.0, 0.4, 1.4):
+        two_mode_ladders(TwoModeParams(0.0, 0.3, gamma))
 
 
 class TestEpLocus:
