@@ -50,10 +50,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EXCEPTIONAL = 2
 
-_SWEEPABLE = {
-    "one_mode": ("alpha_re", "alpha_im", "beta_re", "beta_im"),
-    "two_mode": ("alpha_re", "alpha_im", "beta_re", "beta_im", "gamma"),
-    "custom": (),
+# Per model: the fields read besides model/oracle/sweep (others are refused), sweep axes.
+_MODELS = {
+    "one_mode": (("alpha", "beta"), ("alpha_re", "alpha_im", "beta_re", "beta_im")),
+    "two_mode": (("alpha", "beta", "gamma"),
+                 ("alpha_re", "alpha_im", "beta_re", "beta_im", "gamma")),
+    "custom": (("matrix", "offset"), ()),
 }
 # Criterion 9's 101x101 grid is the largest in use; a grid this size takes minutes.
 _MAX_SWEEP_POINTS = 1_000_000
@@ -124,14 +126,13 @@ def load_config(path: str, overrides: dict | None = None) -> ModelConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object")
 
-    known = {"model", "alpha", "beta", "gamma", "matrix", "offset", "oracle", "sweep"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"field '{key}': unknown field")
-
     kind = data.get("model")
-    if kind not in ("one_mode", "two_mode", "custom"):
-        raise ConfigError("field 'model': must be one of one_mode, two_mode, custom")
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise ConfigError(f"field 'model': must be one of {', '.join(_MODELS)}")
+    fields, sweepable = _MODELS[kind]
+    for key in data:
+        if key not in ("model", "oracle", "sweep", *fields):
+            raise ConfigError(f"field '{key}': unknown field for model {kind}")
 
     alpha = _as_complex(data.get("alpha", 0.0), "alpha")
     beta = _as_complex(data.get("beta", 0.0), "beta")
@@ -174,10 +175,10 @@ def load_config(path: str, overrides: dict | None = None) -> ModelConfig:
         if not isinstance(axis, dict):
             raise ConfigError(f"field 'sweep[{pos}]': must be an object")
         name = axis.get("parameter")
-        if name not in _SWEEPABLE[kind]:
+        if name not in sweepable:
             raise ConfigError(
                 f"field 'sweep[{pos}].parameter': '{name}' not sweepable for {kind} "
-                f"(choose from {', '.join(_SWEEPABLE[kind]) or 'none'})"
+                f"(choose from {', '.join(sweepable) or 'none'})"
             )
         if any(ax.parameter == name for ax in axes):
             raise ConfigError(f"field 'sweep[{pos}].parameter': '{name}' is already swept")
@@ -377,6 +378,7 @@ def cmd_transform(config: ModelConfig, s11: float, with_oracle: bool) -> int:
     if metric is not None:
         print(f"metric interior size: {metric.interior_size}")
         print(f"quasi-hermiticity residual: {_fmt(metric.residual)}")
+        print(f"relative quasi-hermiticity residual: {_fmt(metric.relative_residual)}")
         print(f"min metric eigenvalue: {_fmt(metric.min_metric_eigenvalue)}")
     return EXIT_OK
 

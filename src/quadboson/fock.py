@@ -284,14 +284,18 @@ class MetricReport:
     geometrically with the level for strongly squeezing maps (about 4x per
     level at alpha=0.3, beta=0.5, where the round-off reaches ~1e10 at
     interior 38). The small-block entries of residual_profile are the
-    meaningful ones there. min_metric_eigenvalue is the smallest eigenvalue
-    of the interior metric block (positive-definiteness witness).
+    meaningful ones there. relative_residual divides residual by
+    ||rho_I||_inf ||H_I||_inf on that interior block, so an exact metric
+    reads at round-off (1.1e-16 at alpha=0.3, beta=0.5, interior 38).
+    min_metric_eigenvalue is the smallest eigenvalue of the interior
+    metric block (positive-definiteness witness).
     """
 
     residual: float
     min_metric_eigenvalue: float
     interior_size: int
     residual_profile: tuple
+    relative_residual: float = float("nan")
 
 
 def _metric_factor(cmap: CanonicalMap, trunc: FockTruncation) -> np.ndarray:
@@ -362,9 +366,12 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
         float(np.max(np.abs(resid[:cut, :cut]))) for cut in range(1, trunc.cutoff + 1)
     )
     inverse = sla.solve_triangular(factor[:interior, :interior], np.eye(interior), lower=True)
+    block = np.s_[:interior, :interior]
+    norms = np.linalg.norm(rho[block], np.inf) * np.linalg.norm(ham[block], np.inf)
     return MetricReport(
         residual=profile[interior - 1],
         min_metric_eigenvalue=float(np.linalg.norm(inverse, 2)) ** -2,
         interior_size=interior,
         residual_profile=profile,
+        relative_residual=profile[interior - 1] / float(norms),
     )

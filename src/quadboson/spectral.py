@@ -2,11 +2,11 @@
 
 The adjoint matrix of a quadratic boson form has eigenvalues in exact
 +/- pairs. Each eigenvector supplies the coefficients of a ladder
-operator Z with [H, Z] = lambda Z; conjugate pairs are normalized to
-[Z_low, Z_high] = 1, which fixes the diagonal form of the operator and
-its spectrum. Parameter points where the adjoint matrix is defective
-(eigenvalue coalescence without enough eigenvectors) are exceptional
-points, reported rather than diagonalized.
+operator Z with [H, Z] = lambda Z; the K conjugate pairs are normalized
+jointly to [Z_low_i, Z_high_j] = delta_ij, which fixes the diagonal form
+of the operator and its spectrum. Parameter points where the adjoint
+matrix is defective (eigenvalue coalescence without enough eigenvectors)
+are exceptional points, reported rather than diagonalized.
 """
 
 from __future__ import annotations
@@ -302,27 +302,26 @@ def _symplectic_pairs_at_zero(vectors, u):
         y = remaining.pop(k)
         c = commutator_linear(x, y, u)
         y = y / c
-        cleaned = []
-        for v in remaining:
-            v = v - commutator_linear(v, y, u) * x + commutator_linear(v, x, u) * y
-            cleaned.append(v)
-        remaining = cleaned
+        remaining = [v - commutator_linear(v, y, u) * x + commutator_linear(v, x, u) * y
+                     for v in remaining]
         pairs.append((x, y))
     return pairs
 
 
 def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0) -> SpectralDecomposition:
-    """Rescale +/- eigenpairs so each conjugate pair commutes to exactly 1.
+    """Rescale +/- eigenpairs jointly so that [Z_low_i, Z_high_j] = delta_ij.
 
-    The lowering member keeps its unit-norm vector; the raising member
-    absorbs the whole scale factor. Degenerate eigenvalue groups are
-    normalized jointly (the raising block is recombined against the
-    pair-commutator Gram matrix) so that cross commutators inside a
-    group vanish and the diagonal form reproduces the original operator.
+    Lowering vectors (entries i < K of the eigenpairs layout) form the
+    columns of L, their raising mates (entry 2K-1-i) those of R. Pairs
+    with |lambda_low| < CLUSTER_TOL * max(1, max |lambda|) first get a
+    symplectic basis of the zero eigenspace, where either member may be
+    the lowering one. Then R <- R (L^t u R)^-1 against the one K x K Gram
+    matrix (para-unitary normalization; Colpa, Physica A 93, 327 (1978)):
+    lowering vectors keep unit norm and cross commutators vanish between
+    all pairs, so the diagonal form reproduces the operator.
 
-    A pair commutator (or Gram matrix) smaller than COMMUTATOR_FLOOR
-    signals proximity to an exceptional point and raises
-    ExceptionalPointError.
+    A Gram matrix with smallest singular value below COMMUTATOR_FLOOR
+    signals an exceptional point and raises ExceptionalPointError.
     """
     ladders = list(ladders)
     n = len(ladders)
@@ -331,58 +330,35 @@ def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0) -> SpectralDe
     k = n // 2
 
     lam = np.array([op.eigenvalue for op in ladders])
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    tol = CLUSTER_TOL * scale
+    freqs = 0.5 * (lam[::-1][:k] - lam[:k])
+    low = np.column_stack([op.coeffs for op in ladders[:k]])
+    high = np.column_stack([op.coeffs for op in ladders[::-1][:k]])
 
-    pair_ids = [(i, n - 1 - i) for i in range(k)]
-    low_vals = np.array([lam[i] for i, _ in pair_ids])
+    zero = np.flatnonzero(np.abs(lam[:k]) < CLUSTER_TOL * max(1.0, float(np.max(np.abs(lam)))))
+    if zero.size:
+        sympairs = _symplectic_pairs_at_zero(
+            [vec for g in zero for vec in (low[:, g], high[:, g])], u)
+        low[:, zero] = np.column_stack([x for x, _ in sympairs])
+        high[:, zero] = np.column_stack([y for _, y in sympairs])
 
-    out: list[tuple[LadderOperator, LadderOperator] | None] = [None] * k
-    for group in _cluster_indices(low_vals, tol):
-        center = complex(np.mean(low_vals[group]))
-        if abs(center) < tol:
-            # both members of each pair sit in the same (zero) cluster
-            vecs = []
-            for g in group:
-                i, j = pair_ids[g]
-                vecs.extend([ladders[i].coeffs, ladders[j].coeffs])
-            sympairs = _symplectic_pairs_at_zero(vecs, u)
-            for g, (x, y) in zip(group, sympairs):
-                freq = 0.5 * (lam[pair_ids[g][1]] - lam[pair_ids[g][0]])
-                out[g] = (LadderOperator(-freq, x, LOWERING),
-                          LadderOperator(freq, y, RAISING))
-            continue
-        low_block = np.column_stack([ladders[pair_ids[g][0]].coeffs for g in group])
-        high_block = np.column_stack([ladders[pair_ids[g][1]].coeffs for g in group])
-        gram = low_block.T @ u @ high_block
-        if np.min(np.abs(np.linalg.svd(gram, compute_uv=False))) < COMMUTATOR_FLOOR:
-            raise ExceptionalPointError(
-                f"pair commutator matrix is singular near lambda={center:.6g}; "
-                "ladder normalization impossible (exceptional-point proximity)"
-            )
-        high_block = high_block @ np.linalg.inv(gram)
-        for col, g in enumerate(group):
-            i, j = pair_ids[g]
-            freq = 0.5 * (lam[j] - lam[i])
-            out[g] = (LadderOperator(-freq, low_block[:, col], LOWERING),
-                      LadderOperator(freq, high_block[:, col], RAISING))
+    gram = low.T @ u @ high
+    smallest = np.linalg.svd(gram, compute_uv=False)[-1]
+    if smallest < COMMUTATOR_FLOOR:
+        raise ExceptionalPointError(
+            f"pair commutator matrix has smallest singular value {smallest:.3e} "
+            f"(floor {COMMUTATOR_FLOOR:.0e}); ladder normalization impossible "
+            "(exceptional-point proximity)"
+        )
+    high = high @ np.linalg.inv(gram)
 
-    pairs = tuple(out)  # type: ignore[arg-type]
-    freqs = np.array([p[1].eigenvalue for p in pairs])
     order = np.lexsort((freqs.imag, -freqs.real))
-    pairs = tuple(pairs[i] for i in order)
+    pairs = tuple((LadderOperator(-freqs[g], low[:, g], LOWERING),
+                   LadderOperator(freqs[g], high[:, g], RAISING)) for g in order)
     freqs = freqs[order]
-
     reality = Reality.ALL_REAL if _is_real(freqs) else Reality.COMPLEX
     ground = 0.5 * complex(np.sum(freqs)) + complex(offset)
-    return SpectralDecomposition(
-        pairs=pairs,
-        frequencies=freqs,
-        ground_energy=ground,
-        reality=reality,
-        defective=False,
-        offset=complex(offset),
-    )
+    return SpectralDecomposition(pairs=pairs, frequencies=freqs, ground_energy=ground,
+                                 reality=reality, defective=False, offset=complex(offset))
 
 
 def decompose(form: QuadraticForm) -> SpectralDecomposition:

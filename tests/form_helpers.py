@@ -1,4 +1,6 @@
-"""Random forms and the diagonal-form rebuild shared by the test modules."""
+"""Random forms, stacked ladders and the diagonal-form rebuild shared by the test modules."""
+
+import numpy as np
 
 from quadboson import BosonBasis, build_quadratic
 
@@ -6,6 +8,13 @@ from quadboson import BosonBasis, build_quadratic
 def random_symmetric(rng, size):
     mat = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     return 0.5 * (mat + mat.T)
+
+
+def ladder_blocks(decomp):
+    """Lowering and raising coefficient vectors stacked as columns, pair by pair."""
+    low = np.column_stack([pair[0].coeffs for pair in decomp.pairs])
+    high = np.column_stack([pair[1].coeffs for pair in decomp.pairs])
+    return low, high
 
 
 def reconstruct_form(decomp, basis: BosonBasis):

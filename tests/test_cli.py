@@ -336,6 +336,17 @@ class TestTransform:
         assert "quasi-hermiticity residual" in out
         assert "min metric eigenvalue" in out
 
+    def test_oracle_prints_relative_residual(self, tmp_path, capsys):
+        # at (0.3, 0.5) the absolute residual reads about 1e9 for an exact
+        # metric; the line after it scales that by ||rho|| ||H|| on the block
+        code = main(["transform", "--config", write_config(tmp_path, ONE_MODE), "--oracle"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        at = [i for i, l in enumerate(lines) if l.startswith("quasi-hermiticity residual:")]
+        label, value = lines[at[0] + 1].split(": ")
+        assert label == "relative quasi-hermiticity residual"
+        assert float(value) < 16 * np.finfo(float).eps
+
     def test_beta_zero_with_oracle(self, tmp_path, capsys):
         # beta = 0 lies inside the domain of the closed-form map
         config = {"model": "one_mode", "alpha": [0.3, 0.0], "beta": [0.0, 0.0]}
@@ -397,6 +408,16 @@ REFUSED_SETTINGS = [
     ("sweep object", ["sweep"], dict(ONE_MODE, sweep=AXIS), "field 'sweep': must be a list"),
     ("transform --nmax 5000", ["transform", "--oracle", "--nmax", "5000"], ONE_MODE,
      "largest feasible cutoff for 1 mode(s) is 4096"),
+    ("model list", ["analyze"], dict(ONE_MODE, model=["one_mode"]), "field 'model'"),
+    # a field the model does not read is refused, not dropped
+    ("one_mode gamma", ["analyze"], dict(ONE_MODE, gamma=0.3), "field 'gamma'"),
+    ("one_mode matrix", ["analyze"], dict(ONE_MODE, matrix=CUSTOM["matrix"]), "field 'matrix'"),
+    ("one_mode offset", ["analyze"], dict(ONE_MODE, offset=[3, 0]), "field 'offset'"),
+    ("two_mode matrix", ["analyze"], dict(TWO_MODE, matrix=CUSTOM["matrix"]), "field 'matrix'"),
+    ("two_mode offset", ["analyze"], dict(TWO_MODE, offset=[3, 0]), "field 'offset'"),
+    ("custom alpha", ["analyze"], dict(CUSTOM, alpha=[0.3, 0]), "field 'alpha'"),
+    ("custom beta", ["analyze"], dict(CUSTOM, beta=[0.5, 0]), "field 'beta'"),
+    ("custom gamma", ["analyze"], dict(CUSTOM, gamma=0.3), "field 'gamma'"),
 ]
 
 

@@ -476,6 +476,18 @@ class TestVerifyMetric:
         assert min(report.residual_profile[2:]) < 1e-6
         assert report.min_metric_eigenvalue > 0.0
 
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.5), (0.3j, -0.5j)], ids=["real", "imaginary"])
+    def test_relative_residual_separates_exact_from_wrong_metric(self, alpha, beta):
+        # the absolute residual reads 1e9 here although the metric is exact;
+        # scaled by the block norms it is round-off, and a map for a nearby
+        # point leaves a residual many orders larger
+        params = OneModeParams(alpha, beta)
+        trunc = FockTruncation(1, 40)
+        exact = verify_metric(params, bogoliubov_map(params, 1.0), trunc)
+        assert exact.relative_residual < 16 * np.finfo(float).eps
+        nearby = bogoliubov_map(OneModeParams(alpha, 0.9 * beta), 1.0)
+        assert verify_metric(params, nearby, trunc).relative_residual > 1e-6
+
     def test_interior_validation(self):
         params = OneModeParams(0.1, 0.1)
         cmap = bogoliubov_map(params, 1.0)

@@ -21,7 +21,8 @@ from quadboson import (
     two_mode,
     TwoModeParams,
 )
-from form_helpers import random_symmetric, reconstruct_form
+from quadboson import spectral
+from form_helpers import ladder_blocks, random_symmetric, reconstruct_form
 
 ROOT_04 = np.sqrt(0.4)            # one-mode frequency at alpha=0.3, beta=0.5
 ROOT_161 = np.sqrt(1.61)          # two-mode frequencies at alpha=0.1, beta=0.2,
@@ -147,6 +148,52 @@ class TestNormalizePairs:
         (l1, h1), (l2, h2) = decomp.pairs
         assert abs(commutator_linear(l1.coeffs, h2.coeffs, u)) < 1e-10
         assert abs(commutator_linear(l2.coeffs, h1.coeffs, u)) < 1e-10
+
+    @pytest.mark.parametrize("n_modes", range(2, 9))
+    def test_all_pairs_normalized_jointly(self, rng, n_modes):
+        # one Gram matrix over all K pairs: cross commutators vanish between
+        # pairs of different frequency too, so the stacked ladders are
+        # canonical at round-off
+        basis = BosonBasis(n_modes)
+        u = commutator_matrix(basis)
+        for _ in range(25):
+            decomp = decompose(QuadraticForm(basis, random_symmetric(rng, basis.size)))
+            low, high = ladder_blocks(decomp)
+            assert np.max(np.abs(low.T @ u @ high - np.eye(n_modes))) < 16 * np.finfo(float).eps
+
+    def test_normalization_does_not_recluster(self, monkeypatch):
+        # the eigensolve clusters the spectrum once; normalize_pairs reads
+        # only the +/- layout, degenerate and zero groups included
+        forms = [two_mode(TwoModeParams(0.0, 0.0, 0.0)),
+                 QuadraticForm(BosonBasis(2), np.zeros((4, 4)))]
+        ladders = [eigenpairs(adjoint_rep(form)) for form in forms]
+
+        def no_clustering(*args):
+            raise AssertionError("normalize_pairs clustered the spectrum again")
+
+        monkeypatch.setattr(spectral, "_cluster_indices", no_clustering)
+        for form, ops in zip(forms, ladders):
+            decomp = normalize_pairs(ops, commutator_matrix(form.basis))
+            rebuilt = reconstruct_form(decomp, form.basis)
+            assert np.max(np.abs(rebuilt.coeffs - form.coeffs)) < 1e-12
+
+    def test_zero_modes_beside_a_squeezed_mode(self):
+        # modes 1 and 2 carry no terms (a zero-frequency block of two pairs);
+        # mode 3 is the squeezed one-mode oscillator at (0.3, 0.5)
+        basis = BosonBasis(3)
+        coeffs = np.zeros((6, 6), dtype=complex)
+        coeffs[np.ix_([2, 5], [2, 5])] = one_mode(OneModeParams(0.3, 0.5)).coeffs
+        form = QuadraticForm(basis, coeffs)
+        decomp = decompose(form)
+        assert np.allclose(decomp.frequencies, [ROOT_04, 0.0, 0.0], atol=1e-12)
+        u = commutator_matrix(basis)
+        low, high = ladder_blocks(decomp)
+        assert np.max(np.abs(low.T @ u @ high - np.eye(3))) < 1e-14
+        assert np.max(np.abs(low.T @ u @ low)) < 1e-14
+        assert np.max(np.abs(high.T @ u @ high)) < 1e-14
+        rebuilt = reconstruct_form(decomp, basis)
+        assert np.max(np.abs(rebuilt.coeffs - form.coeffs)) < 1e-14
+        assert abs(rebuilt.offset - form.offset) < 1e-14
 
     def test_zero_form(self):
         basis = BosonBasis(2)
