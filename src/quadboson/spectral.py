@@ -151,13 +151,16 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def _is_real(values: np.ndarray) -> bool:
-    return bool(np.all(np.abs(values.imag) < REALITY_TOL * np.maximum(1.0, np.abs(values))))
+def _is_real(values: np.ndarray) -> np.ndarray:
+    # reads the last axis, so a stack of spectra gets one verdict each
+    return np.all(np.abs(values.imag) < REALITY_TOL * np.maximum(1.0, np.abs(values)), axis=-1)
 
 
-def _pair_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
+def _pair_indices(values: np.ndarray, tol: float, report: EPReport) -> list[tuple[int, int]]:
     # Greedy +/- matching: repeatedly take the largest unpaired |value| and
-    # match it with the unpaired value minimizing |v_i + v_j|.
+    # match it with the unpaired value minimizing |v_i + v_j|. The spectrum is
+    # +/- symmetric in exact arithmetic, so a miss above tol means ill-conditioned
+    # eigenvalues, i.e. a (near-)defective matrix such as an order-4 EP.
     remaining = sorted(range(len(values)), key=lambda i: -abs(values[i]))
     pairs = []
     while remaining:
@@ -166,9 +169,11 @@ def _pair_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
         j = remaining.pop(best)
         mismatch = abs(values[i] + values[j])
         if mismatch > tol:
-            raise ValueError(
+            raise ExceptionalPointError(
                 f"eigenvalues do not split into +/- pairs: residual {mismatch:.3e} "
-                f"for {values[i]:.6g} from pairing tolerance {tol:.1e}"
+                f"for {values[i]:.6g} above pairing tolerance {tol:.1e}; "
+                "the adjoint matrix is near an exceptional point",
+                report=report,
             )
         pairs.append((i, j))
     return pairs
@@ -196,7 +201,7 @@ class _Eigensystem:
             )
         values, vectors = self.values, self.vectors
         oriented = []
-        for i, j in _pair_indices(values, PAIR_TOL * self.scale):
+        for i, j in _pair_indices(values, PAIR_TOL * self.scale, self.report):
             a, b = values[i], values[j]
             if (a.real, a.imag) > (b.real, b.imag):
                 i, j = j, i
@@ -219,6 +224,11 @@ def _eigensystem(rep: np.ndarray) -> _Eigensystem:
     """
     rep = np.asarray(rep, dtype=complex)
     values, vectors = np.linalg.eig(rep)
+    return _read_eigensystem(rep, values, vectors)
+
+
+def _read_eigensystem(rep: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> _Eigensystem:
+    """Clusters, EP report and reality label read from the solved eigensystem of rep."""
     scale = max(1.0, float(np.linalg.norm(rep, np.inf)))
     tol = CLUSTER_TOL * scale
     clusters = []
@@ -236,6 +246,30 @@ def _eigensystem(rep: np.ndarray) -> _Eigensystem:
     else:
         reality = Reality.ALL_REAL if _is_real(values) else Reality.COMPLEX
     return _Eigensystem(values, vectors, scale, report, reality)
+
+
+def _stacked_labels(reps: np.ndarray):
+    """Spectra, Reality labels, defective flags and minimum gaps of a stack.
+
+    One eig call solves all (N, 2K, 2K) reps. A point whose eigenvalues all
+    lie at least twice the cluster width apart holds only simple clusters, so
+    its label is the reality test alone; the others (an over-flagging mask,
+    never a missed pair) are read by _read_eigensystem from the same solve.
+    The minimum gap is the smallest pairwise distance, taken with hypot, which
+    matches the scalar abs() of a complex difference bit for bit where the
+    vectorized abs can differ by one ulp.
+    """
+    values, vectors = np.linalg.eig(reps)
+    scale = np.maximum(1.0, np.abs(reps).sum(axis=-1).max(axis=-1))
+    i, j = np.triu_indices(values.shape[-1], 1)
+    diff = values[:, i] - values[:, j]
+    gap = np.hypot(diff.real, diff.imag).min(axis=-1)
+    reality = np.where(_is_real(values), Reality.ALL_REAL, Reality.COMPLEX)
+    defective = np.zeros(len(reps), dtype=bool)
+    for n in np.flatnonzero(gap < 2.0 * CLUSTER_TOL * scale):
+        system = _read_eigensystem(reps[n], values[n], vectors[n])
+        reality[n], defective[n] = system.reality, system.report.defective
+    return values, reality, defective, gap
 
 
 def detect_ep(rep: np.ndarray) -> EPReport:

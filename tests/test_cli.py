@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -37,6 +39,16 @@ class TestAnalyze:
         assert "reality: ExceptionalPoint" in out
         assert "algebraic 2, geometric 1" in out
         assert "eigenvalues:" in out  # analysis still printed
+
+    def test_order_four_ep_pairing_miss_exits_2(self, tmp_path, capsys):
+        # an order-4 EP (h^4 = 0) whose eigenvalues miss their +/- mates
+        config = {"model": "custom",
+                  "matrix": [[1, 0, -1, 1], [0, 0, 0.5, 0], [-1, 0.5, 2, 1], [1, 0, 1, 1]]}
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        assert out.splitlines()[-1].startswith("exceptional point: eigenvalues do not split")
+        assert "residual" in out
 
     def test_two_mode_frequencies(self, tmp_path, capsys):
         code = main(["analyze", "--config", write_config(tmp_path, TWO_MODE)])
@@ -447,12 +459,12 @@ def test_exceptional_point_error_maps_to_exit_2(tmp_path, capsys, monkeypatch):
 
 def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch):
     # EP detection, reality classification and ladder extraction all read
-    # the same eigendecomposition.
+    # the same eigendecomposition; a sweep solves its whole grid as one stack.
     calls = []
     for name in ("eig", "eigvals"):
-        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
-            calls.append(1)
-            return _solve(*args, **kwargs)
+        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append(np.shape(a))
+            return _solve(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
 
     decompose(two_mode(TwoModeParams(0.1, 0.2, 0.3)))
@@ -464,4 +476,73 @@ def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch):
     calls.clear()
     config = dict(TWO_MODE, sweep=[{"parameter": "gamma", "start": 0.0, "stop": 1.0, "steps": 7}])
     assert main(["sweep", "--config", write_config(tmp_path, config)]) == 0
-    assert len(calls) == 7
+    assert calls == [(7, 4, 4)]
+    # the EP node at alpha = 0.5 is read from the stacked solve, not solved again
+    calls.clear()
+    config = dict(ONE_MODE, sweep=[{"parameter": "alpha_re", "start": 0.3, "stop": 0.7, "steps": 5}])
+    assert main(["sweep", "--config", write_config(tmp_path, config)]) == 0
+    assert calls == [(5, 2, 2)]
+
+
+REFERENCE_GRIDS = {
+    "complex alpha_im x beta_re": {
+        "model": "one_mode", "alpha": [0.3, 0.2], "beta": [0.5, -0.1], "sweep": [
+            {"parameter": "alpha_im", "start": -0.5, "stop": 0.5, "steps": 31},
+            {"parameter": "beta_re", "start": 0.0, "stop": 1.0, "steps": 31}]},
+    "beta_im line through an EP": {
+        "model": "one_mode", "alpha": [0.5, 0.0], "beta": [0.5, 0.0], "sweep": [
+            {"parameter": "beta_im", "start": -0.3, "stop": 0.3, "steps": 31}]},
+    "two-mode gamma scan through both EPs": {
+        "model": "two_mode", "alpha": [0.25, 0.0], "beta": [0.25, 0.0], "sweep": [
+            {"parameter": "gamma", "start": 0.0, "stop": 2.0, "steps": 31}]},
+    "two-mode alpha_im x beta_im": {
+        "model": "two_mode", "alpha": [0.2, 0.0], "beta": [0.3, 0.0], "gamma": 0.4, "sweep": [
+            {"parameter": "alpha_im", "start": -1.0, "stop": 1.0, "steps": 31},
+            {"parameter": "beta_im", "start": -1.0, "stop": 1.0, "steps": 31}]},
+}
+
+
+def per_point_sweep(config):
+    """The sweep as one form, adjoint matrix and eigensolve per grid point: CSV and reps."""
+    axes = config.sweep
+    grids = [np.linspace(ax.start, ax.stop, ax.steps) for ax in axes]
+    points = [dict(zip((ax.parameter for ax in axes), combo))
+              for combo in itertools.product(*grids)]
+    reps = [cli.adjoint_rep(cli._build_form(config, p)) for p in points]
+    columns = [ax.parameter for ax in axes]
+    for i in range(1, reps[0].shape[0] + 1):
+        columns += [f"lambda{i}_re", f"lambda{i}_im"]
+    lines = [f"# tool: quadboson {cli.__version__}",
+             f"# config-sha256: {hashlib.sha256(config.raw_bytes).hexdigest()}",
+             ",".join(columns + ["reality", "defective", "min_gap"])]
+    for point, rep in zip(points, reps):
+        system = cli._eigensystem(rep)
+        values = system.values[np.lexsort((system.values.imag, system.values.real))]
+        gap = min(abs(a - b) for i, a in enumerate(values) for b in values[i + 1:])
+        cells = [cli._fmt(point[ax.parameter], 17) for ax in axes]
+        for v in values:
+            cells += [cli._fmt(v.real, 17), cli._fmt(v.imag, 17)]
+        cells += [system.reality.value, str(int(system.report.defective)), cli._fmt(gap, 17)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n", np.array(reps)
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRIDS)
+def test_stacked_sweep_matches_per_point_reference(tmp_path, monkeypatch, name):
+    path = write_config(tmp_path, REFERENCE_GRIDS[name])
+    expected, expected_reps = per_point_sweep(cli.load_config(path))
+    stacks = []
+
+    def recorded(reps):
+        stacks.append(reps)
+        return solve(reps)
+
+    solve = cli._stacked_labels
+    monkeypatch.setattr(cli, "_stacked_labels", recorded)
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    got, want = out.read_text(encoding="utf-8").splitlines(), expected.splitlines()
+    differing = [n for n, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert len(got) == len(want) and not differing, f"rows differ: {differing[:5]}"
+    # equal values, not bytes: the affine stack may hold +0 where a form has -0
+    assert np.array_equal(stacks[0], expected_reps)

@@ -289,6 +289,16 @@ class TestDetectEP:
         report = excinfo.value.report
         assert report.algebraic_mult == 2 and report.geometric_mult == 1
 
+    def test_order_four_ep_pairing_miss_is_refused(self):
+        # h^4 = 0 exactly: eig splits the zero eigenvalue by ~eps^(1/4) |h|, past
+        # the cluster width, and the values then miss their +/- mates
+        coeffs = np.array([[1, 0, -1, 1], [0, 0, 0.5, 0], [-1, 0.5, 2, 1], [1, 0, 1, 1]])
+        form = QuadraticForm(BosonBasis(2), coeffs)
+        assert not np.any(np.linalg.matrix_power(adjoint_rep(form), 4))
+        with pytest.raises(ExceptionalPointError, match="residual") as excinfo:
+            decompose(form)
+        assert excinfo.value.report is not None
+
     def test_tiny_split_with_full_eigenbasis_is_regular(self):
         # uncoupled oscillators, one with frequency 1e-8: the +/-1e-8 pair
         # falls in one cluster but keeps two eigenvectors
