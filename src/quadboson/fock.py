@@ -7,8 +7,12 @@ oracle for the ladder-operator predictions that knows nothing about the
 algebraic construction. Every quadratic term changes the total boson
 number by 0 or +/-2, so the matrix is block-diagonal in total-number
 parity and the oracle solves the two blocks apart, in real arithmetic
-when the form is real. Truncation corrupts elements near the cutoff, so
-comparisons use interior blocks and are re-run at a larger cutoff.
+when the form is real. A block of at most _DENSE_BLOCK_MAX (256) states
+is diagonalized in full; a larger one is solved by Arnoldi iteration
+for only the lowest levels + 1 eigenvalues a spectrum check reads, and
+the reported spectrum then holds just those from that block. Truncation
+corrupts elements near the cutoff, so comparisons use interior blocks
+and are re-run at a larger cutoff.
 """
 
 from __future__ import annotations
@@ -26,6 +30,15 @@ from .swanson import OneModeParams, one_mode
 DEFAULT_DIMENSION_CAP = 4096
 SPECTRUM_TOL = 1e-6
 _METRIC_REAL_TOL = 1e-9
+# Largest parity block solved densely when only its lowest levels are wanted.
+# Odd blocks, best of 5, one BLAS thread, dense eigvals against Arnoldi with its
+# deflation check (ms): two-mode 200 states 11 / 15, 264 states 22 / 22, 312
+# states 37 / 21; three-mode 256 states 20 / 21, 364 states 40 / 19, 500 states
+# 116 / 34; so dense wins below ~260 states. The strongly non-normal one-mode
+# block at (0.3, 0.5) crosses later: 300 states 37 / 62, 400 states 93 / 83.
+_DENSE_BLOCK_MAX = 256
+# A level left below the largest Arnoldi level by more than this (relative) was missed.
+_ARNOLDI_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -135,24 +148,94 @@ def assemble(form: QuadraticForm, trunc: FockTruncation) -> np.ndarray:
     return out
 
 
-def oracle_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense matrix as a complex array, sorted by real part then imaginary.
+def oracle_eigenvalues(matrix: np.ndarray, count: int | None = None) -> np.ndarray:
+    """Eigenvalues of a dense matrix as a complex array, sorted by real part then imaginary.
 
-    A real matrix is diagonalized in real arithmetic.
+    With count None, or for a matrix of at most _DENSE_BLOCK_MAX states,
+    every eigenvalue is returned, a real matrix diagonalized in real
+    arithmetic. A larger matrix given a count returns only its lowest
+    count + 1 eigenvalues, found by implicitly restarted Arnoldi (ARPACK;
+    Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998); the extra
+    one keeps a complex-conjugate pair at the boundary whole. Where
+    Arnoldi fails or misses a level, the matrix is solved densely.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    values = np.linalg.eigvals(matrix).astype(complex, copy=False)
+    values = None
+    size = matrix.shape[0]
+    if count is not None and size > _DENSE_BLOCK_MAX and count + 1 < size - 1:
+        values = _lowest_by_arnoldi(matrix, count + 1)
+    if values is None:
+        values = np.linalg.eigvals(matrix)
+    values = values.astype(complex, copy=False)
     return values[np.lexsort((values.imag, values.real))]
 
 
-def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation) -> np.ndarray:
+def _lowest_by_arnoldi(matrix: np.ndarray, k: int) -> np.ndarray | None:
+    """The k eigenvalues of smallest real part, or None where ARPACK cannot vouch for them.
+
+    A Krylov space meets each eigenvalue through a single vector, so it can
+    miss a copy of a repeated eigenvalue (identical modes give such levels).
+    The found eigenvectors are therefore deflated, their eigenvalues moved
+    above the highest found one, and a second run looks for a level left
+    below it. None also covers ARPACK errors, non-convergence included.
+    """
+    # imported here: at module level scipy.sparse adds ~40 ms to every `import quadboson`
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
+
+    size = matrix.shape[0]
+    sparse = csr_array(matrix)
+    # ARPACK passes over an eigenvalue that is exactly zero (diag(256..0) gives
+    # 1..4 for k = 4), so every real part is lifted to 1 or above; by Gershgorin's
+    # theorem Re(lambda) >= min_i (Re m_ii - sum_j!=i |m_ij|)
+    diagonal = matrix.diagonal()
+    lift = 1.0 - float(np.min(diagonal.real - np.abs(matrix).sum(axis=1) + np.abs(diagonal)))
+    # fixed, so that runs repeat; random, so that no symmetry of the basis
+    # (all-ones is even under mode exchange) keeps Arnoldi in one sector
+    start = np.random.default_rng(0).standard_normal(size)
+    # ARPACK's default of 10 * size restarts can outlast a dense solve many times
+    # over on a badly non-normal block (3.6 s against 45 ms at 365 states); the
+    # one-mode block at (0.3, 0.5) needs about size / 5 up to 2000 states
+    restarts = size // 3
+
+    def lifted(v):
+        return sparse @ v + lift * v
+
+    try:
+        values, vectors = eigs(LinearOperator((size, size), matvec=lifted, dtype=matrix.dtype),
+                               k=k, which="SR", v0=start, tol=0, maxiter=restarts)
+        if not np.iscomplexobj(matrix):
+            vectors = np.hstack([vectors.real, vectors.imag])  # real basis, same span
+        found = sla.orth(vectors)
+        found_h = found.conj().T
+        top = float(values.real.max())
+
+        def deflated(v):
+            inside = found @ (found_h @ v)
+            w = lifted(v - inside)
+            return w - found @ (found_h @ w) + 2.0 * top * inside
+
+        # two wanted values: asked for one, ARPACK settled on a second copy of
+        # the top level and passed over a lower one (three identical modes)
+        rest = eigs(LinearOperator((size, size), matvec=deflated, dtype=matrix.dtype), k=2,
+                    which="SR", v0=start - found @ (found_h @ start), tol=0,
+                    maxiter=restarts, return_eigenvectors=False)
+    except ArpackError:
+        return None
+    if rest.real.min() < top - _ARNOLDI_SLACK * max(1.0, abs(top - lift)):
+        return None
+    return values - lift
+
+
+def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation,
+                        count: int | None = None) -> np.ndarray:
     """Sorted oracle spectrum from one assembly and one solve per total-parity block."""
     matrix = assemble(form, trunc)
     odd = trunc.odd_mask()
     values = np.concatenate(
-        [oracle_eigenvalues(matrix[np.ix_(mask, mask)]) for mask in (~odd, odd)]
+        [oracle_eigenvalues(matrix[np.ix_(mask, mask)], count) for mask in (~odd, odd)]
     )
     return values[np.lexsort((values.imag, values.real))]
 
@@ -176,9 +259,12 @@ def predicted_levels(decomp: SpectralDecomposition, count: int) -> np.ndarray:
 class OracleReport:
     """Oracle spectrum versus ladder predictions.
 
-    matched rows are (predicted, observed, |deviation|) for the lowest
-    levels; converged reflects a second run at a larger cutoff. For a
-    non-real classification the comparison is informational only.
+    eigenvalues is the first run's sorted oracle spectrum: every
+    eigenvalue of a parity block of at most 256 states, only the lowest
+    levels + 1 of a larger block. matched rows are (predicted, observed,
+    |deviation|) for the lowest levels; converged reflects a second run
+    at a larger cutoff. For a non-real classification the comparison is
+    informational only.
     """
 
     eigenvalues: np.ndarray
@@ -207,7 +293,10 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
     tol/10. The re-run stays under trunc.cap: a truncation whose re-run
     exceeds it raises ValueError before anything is assembled. Each run
     assembles the full truncation once and solves the even and odd
-    total-parity blocks separately (the form conserves that parity).
+    total-parity blocks separately (the form conserves that parity); a
+    block above 256 states is solved for its lowest levels + 1
+    eigenvalues only, so the report's eigenvalues then hold just those
+    from it (see oracle_eigenvalues).
     """
     if levels < 1:
         raise ValueError("levels must be positive")
@@ -218,13 +307,13 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
             f"cannot match {levels} levels from a {trunc.dimension}-state truncation"
         )
     regrown = trunc.grown(20 if trunc.n_modes == 1 else 5)
-    observed = _parity_eigenvalues(form, trunc)
+    observed = _parity_eigenvalues(form, trunc, levels)
     predicted = predicted_levels(decomp, levels)
     matched = tuple(
         (complex(p), complex(o), float(abs(p - o)))
         for p, o in zip(predicted, observed[:levels])
     )
-    refined = _parity_eigenvalues(form, regrown)
+    refined = _parity_eigenvalues(form, regrown, levels)
     drift = np.abs(observed[:levels] - refined[:levels])
     converged = bool(np.all(drift < tol / 10.0))
     return OracleReport(

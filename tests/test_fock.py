@@ -239,6 +239,99 @@ class TestOracleEigenvalues:
         assert np.allclose(values, [-1j, 1j], atol=1e-15)
 
 
+def three_oscillators(omega, squeeze, coupling):
+    """Three modes with the given frequencies, equal squeezing and equal exchange couplings."""
+    g = np.zeros((6, 6))
+    for i in range(3):
+        g[i, i + 3] = g[i + 3, i] = 0.5 * omega[i]
+        g[i, i], g[i + 3, i + 3] = squeeze, 0.5 * squeeze
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        g[i, j + 3] = g[j + 3, i] = g[j, i + 3] = g[i + 3, j] = coupling
+    return QuadraticForm(BosonBasis(3), g)
+
+
+def parity_blocks(form, trunc):
+    matrix = assemble(form, trunc)
+    odd = trunc.odd_mask()
+    return [matrix[np.ix_(mask, mask)] for mask in (~odd, odd)]
+
+
+class TestArnoldiBlocks:
+    """Blocks above fock._DENSE_BLOCK_MAX states asked for their lowest levels only."""
+
+    def test_lowest_levels_match_dense(self, rng):
+        # random forms may stall and fall back to the dense solve; the
+        # physical ones must be solved by Arnoldi
+        cases = [
+            (seeded_form(rng, 2, True), FockTruncation(2, 24), False),
+            (seeded_form(rng, 2, False), FockTruncation(2, 24), False),
+            (seeded_form(rng, 3, True), FockTruncation(3, 9), False),
+            (seeded_form(rng, 3, False), FockTruncation(3, 9), False),
+            # a complex-conjugate pair of frequencies: w- = sqrt(0.81 - 1.6)
+            (two_mode(TwoModeParams(0.5, 0.8, 0.1)), FockTruncation(2, 26), True),
+            (one_mode(OneModeParams(0.3, 0.5)), FockTruncation(1, 600), True),
+        ]
+        for i, (form, trunc, physical) in enumerate(cases):
+            block = parity_blocks(form, trunc)[1]
+            assert block.shape[0] > fock._DENSE_BLOCK_MAX
+            dense = oracle_eigenvalues(block)
+            for count in (1 + i % 3, 4 + i % 3):  # every count 1..6, each on two blocks
+                lowest = oracle_eigenvalues(block, count)
+                assert lowest.size == count + 1 or not physical
+                scale = np.maximum(1.0, np.abs(dense[:count]))
+                assert np.all(np.abs(lowest[:count] - dense[:count]) <= 1e-10 * scale)
+
+    def test_repeats_bit_for_bit(self, rng):
+        block = parity_blocks(seeded_form(rng, 3, False), FockTruncation(3, 9))[1]
+        assert np.array_equal(oracle_eigenvalues(block, 4), oracle_eigenvalues(block, 4))
+
+    @pytest.mark.parametrize("squeeze,cutoff,parity,count", [(0.1, 10, 1, 6), (0.0, 9, 0, 7)])
+    def test_repeated_level_keeps_every_copy(self, squeeze, cutoff, parity, count):
+        # three identical modes: the low levels repeat, and one Arnoldi run
+        # from one start vector returns too few copies of some of them
+        block = parity_blocks(three_oscillators((1.0, 1.0, 1.0), squeeze, 0.0),
+                              FockTruncation(3, cutoff))[parity]
+        dense = oracle_eigenvalues(block)
+        assert abs(dense[count - 1] - dense[count - 2]) < 1e-12  # a repeat inside the lowest
+        lowest = oracle_eigenvalues(block, count)
+        assert np.max(np.abs(lowest[:count] - dense[:count])) < 1e-10
+
+    def test_threshold_and_exact_zero_level(self):
+        # 256 states are solved in full; 257 give count + 1 levels, among them
+        # an exactly zero one, which ARPACK passes over unless the block is lifted
+        levels = np.arange(fock._DENSE_BLOCK_MAX + 1, dtype=float)[::-1]
+        assert oracle_eigenvalues(np.diag(levels[1:]), 3).size == fock._DENSE_BLOCK_MAX
+        assert np.allclose(oracle_eigenvalues(np.diag(levels), 3), [0, 1, 2, 3], atol=1e-12)
+
+    def test_no_convergence_falls_back_to_dense(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.array([]), np.array([]))
+
+        block = parity_blocks(two_mode(TwoModeParams(0.1, 0.2, 0.3)), FockTruncation(2, 25))[1]
+        dense = oracle_eigenvalues(block)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
+        assert np.array_equal(oracle_eigenvalues(block, 5), dense)
+
+    def test_three_mode_rerun_skips_dense_solves(self, monkeypatch):
+        # the benchmark's three-mode shape: 125 states (63 + 62), re-run at
+        # cutoff 10 with two 500-state blocks
+        form = three_oscillators((0.9, 1.0, 1.1), 0.01, 0.02)
+        decomp = decompose(form)
+        shapes = []
+
+        def counted(matrix, _solve=np.linalg.eigvals):
+            shapes.append(matrix.shape)
+            return _solve(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        report = verify_spectrum(form, decomp, 4, FockTruncation(3, 5), tol=1e-4)
+        assert shapes == [(63, 63), (62, 62)]
+        assert report.eigenvalues.size == 125
+        assert report.passed
+
+
 class TestPredictedLevels:
     def test_two_mode_ordering(self):
         decomp = decompose(two_mode(TwoModeParams(0.1, 0.2, 0.3)))
