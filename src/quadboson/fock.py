@@ -212,7 +212,7 @@ def _lowest_by_arnoldi(matrix: np.ndarray, k: int) -> np.ndarray | None:
         found_h = found.conj().T
         top = float(values.real.max())
 
-        def deflated(v):
+        def deflated(v):  # found directions sent to 2 top, above top as top >= 1
             inside = found @ (found_h @ v)
             w = lifted(v - inside)
             return w - found @ (found_h @ w) + 2.0 * top * inside
