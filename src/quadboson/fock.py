@@ -10,32 +10,34 @@ parity and the oracle solves the two blocks apart, in real arithmetic
 when the form is real. A block of at most _DENSE_BLOCK_MAX (256) states
 is diagonalized in full; a larger one is solved by Arnoldi iteration
 for only the lowest levels + 1 eigenvalues a spectrum check reads, and
-the reported spectrum then holds just those from that block. Truncation
-corrupts elements near the cutoff, so comparisons use interior blocks
-and are re-run at a larger cutoff.
+the reported spectrum then holds just those from that block. A copy of a
+repeated level the iteration missed is looked for by one more Arnoldi
+run for a single value, from an independent start vector with the found
+eigenvectors deflated. Truncation corrupts elements near the cutoff, so
+comparisons use interior blocks and are re-run at a larger cutoff.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .algebra import CanonicalMap, QuadraticForm, adjoint_rep, build_quadratic
-from .spectral import Reality, SpectralDecomposition, spectrum
+from .spectral import Reality, SpectralDecomposition
 from .swanson import OneModeParams, one_mode
 
 DEFAULT_DIMENSION_CAP = 4096
 SPECTRUM_TOL = 1e-6
 _METRIC_REAL_TOL = 1e-9
 # Largest parity block solved densely when only its lowest levels are wanted.
-# Odd blocks, best of 5, one BLAS thread, dense eigvals against Arnoldi with its
-# deflation check (ms): two-mode 200 states 11 / 15, 264 states 22 / 22, 312
-# states 37 / 21; three-mode 256 states 20 / 21, 364 states 40 / 19, 500 states
-# 116 / 34; so dense wins below ~260 states. The strongly non-normal one-mode
-# block at (0.3, 0.5) crosses later: 300 states 37 / 62, 400 states 93 / 83.
+# Odd blocks, best of 15 in each of two runs, one BLAS thread, dense eigvals
+# against Arnoldi with its repeated-level check (ms): two-mode 200 states 11 /
+# 11-18, 242 states 16-17 / 12-14, 312 states 28 / 16; three-mode 256 states 20 /
+# 11, 364 states 36 / 14, 500 states 76-83 / 17; so Arnoldi wins from ~220
+# states. The strongly non-normal one-mode block at (0.3, 0.5) crosses later:
+# 260 states 33 / 36, 300 states 37-49 / 43-65, 400 states 80 / 53.
 _DENSE_BLOCK_MAX = 256
 # A level left below the largest Arnoldi level by more than this (relative) was missed.
 _ARNOLDI_SLACK = 1e-10
@@ -178,8 +180,10 @@ def _lowest_by_arnoldi(matrix: np.ndarray, k: int) -> np.ndarray | None:
     A Krylov space meets each eigenvalue through a single vector, so it can
     miss a copy of a repeated eigenvalue (identical modes give such levels).
     The found eigenvectors are therefore deflated, their eigenvalues moved
-    above the highest found one, and a second run looks for a level left
-    below it. None also covers ARPACK errors, non-convergence included.
+    above the highest found one, and a second run, started from an
+    independent random vector, looks for the single lowest level left; one
+    below the highest found level was missed. None also covers ARPACK
+    errors, non-convergence included.
     """
     # imported here: at module level scipy.sparse adds ~40 ms to every `import quadboson`
     from scipy.sparse import csr_array
@@ -217,10 +221,12 @@ def _lowest_by_arnoldi(matrix: np.ndarray, k: int) -> np.ndarray | None:
             w = lifted(v - inside)
             return w - found @ (found_h @ w) + 2.0 * top * inside
 
-        # two wanted values: asked for one, ARPACK settled on a second copy of
-        # the top level and passed over a lower one (three identical modes)
-        rest = eigs(LinearOperator((size, size), matvec=deflated, dtype=matrix.dtype), k=2,
-                    which="SR", v0=start - found @ (found_h @ start), tol=0,
+        # a second, independent start: the first one minus the found directions
+        # holds almost nothing of a missed copy, which must then grow out of
+        # round-off; a fresh vector holds a share of it, so one value finds it
+        check = np.random.default_rng(1).standard_normal(size)
+        rest = eigs(LinearOperator((size, size), matvec=deflated, dtype=matrix.dtype), k=1,
+                    which="SR", v0=check - found @ (found_h @ check), tol=0,
                     maxiter=restarts, return_eigenvectors=False)
     except ArpackError:
         return None
@@ -243,14 +249,13 @@ def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation,
 def predicted_levels(decomp: SpectralDecomposition, count: int) -> np.ndarray:
     """Lowest `count` energies of the diagonal form, by bounded occupation search.
 
-    Occupation tuples with every n_i <= count are enumerated and the
-    energies sorted by real part (imaginary tie-break).
+    Every occupation tuple with each n_i <= count is one row of a table,
+    the energies sum_i frequencies[i] (n_i + 1/2) + offset are taken for
+    all rows at once and sorted by real part (imaginary tie-break).
     """
     k = decomp.frequencies.size
-    energies = np.array([
-        spectrum(decomp, occ)
-        for occ in itertools.product(range(count + 1), repeat=k)
-    ])
+    occ = np.indices((count + 1,) * k).reshape(k, -1).T
+    energies = np.sum(decomp.frequencies * (occ + 0.5), axis=1) + decomp.offset
     energies = energies[np.lexsort((energies.imag, energies.real))]
     return energies[:count]
 
@@ -451,9 +456,11 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
     ham = assemble(one_mode(params), trunc)
     resid = rho @ ham - ham.conj().T @ rho
 
-    profile = tuple(
-        float(np.max(np.abs(resid[:cut, :cut]))) for cut in range(1, trunc.cutoff + 1)
-    )
+    # max over resid[:cut, :cut] for every cut: row i and column i, each up to
+    # the diagonal, join the block at cut = i + 1
+    mag = np.abs(resid)
+    edges = np.maximum(np.tril(mag).max(axis=1), np.triu(mag).max(axis=0))
+    profile = tuple(np.maximum.accumulate(edges).tolist())
     inverse = sla.solve_triangular(factor[:interior, :interior], np.eye(interior), lower=True)
     block = np.s_[:interior, :interior]
     norms = np.linalg.norm(rho[block], np.inf) * np.linalg.norm(ham[block], np.inf)

@@ -1,5 +1,8 @@
 import functools
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -239,15 +242,28 @@ class TestOracleEigenvalues:
         assert np.allclose(values, [-1j, 1j], atol=1e-15)
 
 
-def three_oscillators(omega, squeeze, coupling):
-    """Three modes with the given frequencies, equal squeezing and equal exchange couplings."""
-    g = np.zeros((6, 6))
-    for i in range(3):
-        g[i, i + 3] = g[i + 3, i] = 0.5 * omega[i]
-        g[i, i], g[i + 3, i + 3] = squeeze, 0.5 * squeeze
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        g[i, j + 3] = g[j + 3, i] = g[j, i + 3] = g[i + 3, j] = coupling
-    return QuadraticForm(BosonBasis(3), g)
+def oscillators(omega, squeeze, coupling):
+    """One mode per frequency, with equal squeezing and equal exchange couplings."""
+    k = len(omega)
+    g = np.zeros((2 * k, 2 * k))
+    for i in range(k):
+        g[i, i + k] = g[i + k, i] = 0.5 * omega[i]
+        g[i, i], g[i + k, i + k] = squeeze, 0.5 * squeeze
+    for i, j in itertools.combinations(range(k), 2):
+        g[i, j + k] = g[j + k, i] = g[j, i + k] = g[i + k, j] = coupling
+    return QuadraticForm(BosonBasis(k), g)
+
+
+def counted_dense_solves(monkeypatch):
+    """Shapes of the matrices later passed to np.linalg.eigvals, appended as they come."""
+    shapes = []
+
+    def counted(matrix, _solve=np.linalg.eigvals):
+        shapes.append(matrix.shape)
+        return _solve(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return shapes
 
 
 def parity_blocks(form, trunc):
@@ -285,16 +301,49 @@ class TestArnoldiBlocks:
         block = parity_blocks(seeded_form(rng, 3, False), FockTruncation(3, 9))[1]
         assert np.array_equal(oracle_eigenvalues(block, 4), oracle_eigenvalues(block, 4))
 
-    @pytest.mark.parametrize("squeeze,cutoff,parity,count", [(0.1, 10, 1, 6), (0.0, 9, 0, 7)])
-    def test_repeated_level_keeps_every_copy(self, squeeze, cutoff, parity, count):
-        # three identical modes: the low levels repeat, and one Arnoldi run
-        # from one start vector returns too few copies of some of them
-        block = parity_blocks(three_oscillators((1.0, 1.0, 1.0), squeeze, 0.0),
-                              FockTruncation(3, cutoff))[parity]
+    @pytest.mark.parametrize("n_modes,squeeze,cutoff,parity,count", [
+        pytest.param(3, 0.1, 10, 1, 6, id="0.1-10-1-6"),
+        pytest.param(3, 0.0, 9, 0, 7, id="0.0-9-0-7"),
+        # four identical modes, 313 and 312 states: levels repeat 4-fold
+        pytest.param(4, 0.0, 5, 0, 4, id="4-modes-0.0-5-0-4"),
+        pytest.param(4, 0.0, 5, 1, 8, id="4-modes-0.0-5-1-8"),
+    ])
+    def test_repeated_level_keeps_every_copy(self, n_modes, squeeze, cutoff, parity, count):
+        # identical modes: the low levels repeat, and one Arnoldi run from
+        # one start vector returns too few copies of some of them
+        block = parity_blocks(oscillators((1.0,) * n_modes, squeeze, 0.0),
+                              FockTruncation(n_modes, cutoff))[parity]
+        assert block.shape[0] > fock._DENSE_BLOCK_MAX
         dense = oracle_eigenvalues(block)
         assert abs(dense[count - 1] - dense[count - 2]) < 1e-12  # a repeat inside the lowest
         lowest = oracle_eigenvalues(block, count)
         assert np.max(np.abs(lowest[:count] - dense[:count])) < 1e-10
+
+    def test_repeated_level_check_accepts_every_copy_found(self, monkeypatch):
+        # the lowest odd level repeats 3-fold and the first run finds all three
+        # copies; a check restarted from that run's own start vector minus the
+        # found directions must grow the top level's other copies out of
+        # round-off, runs out of restarts and sends this correct answer to
+        # the dense solve
+        block = parity_blocks(oscillators((1.0, 1.0, 1.0), 0.03, 0.0), FockTruncation(3, 9))[1]
+        assert block.shape[0] == 364
+        dense = np.sort_complex(np.linalg.eigvals(block))
+        assert abs(dense[2] - dense[0]) < 1e-12
+        shapes = counted_dense_solves(monkeypatch)
+        lowest = oracle_eigenvalues(block, 3)
+        assert shapes == []
+        assert np.max(np.abs(lowest[:3] - dense[:3])) < 1e-10
+
+    def test_import_leaves_sparse_solver_unloaded(self):
+        # the Arnoldi imports sit inside the solve: at module level they add
+        # ~40 ms to every `import quadboson`
+        import quadboson
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quadboson.__file__)))
+        probe = "import sys, quadboson; print('scipy.sparse.linalg' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_threshold_and_exact_zero_level(self):
         # 256 states are solved in full; 257 give count + 1 levels, among them
@@ -317,15 +366,9 @@ class TestArnoldiBlocks:
     def test_three_mode_rerun_skips_dense_solves(self, monkeypatch):
         # the benchmark's three-mode shape: 125 states (63 + 62), re-run at
         # cutoff 10 with two 500-state blocks
-        form = three_oscillators((0.9, 1.0, 1.1), 0.01, 0.02)
+        form = oscillators((0.9, 1.0, 1.1), 0.01, 0.02)
         decomp = decompose(form)
-        shapes = []
-
-        def counted(matrix, _solve=np.linalg.eigvals):
-            shapes.append(matrix.shape)
-            return _solve(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        shapes = counted_dense_solves(monkeypatch)
         report = verify_spectrum(form, decomp, 4, FockTruncation(3, 5), tol=1e-4)
         assert shapes == [(63, 63), (62, 62)]
         assert report.eigenvalues.size == 125
@@ -342,6 +385,22 @@ class TestPredictedLevels:
             for n1 in range(5) for n2 in range(5)
         )[:4]
         assert np.allclose(levels.real, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n_modes,count", [(1, 6), (2, 5), (3, 4), (4, 3)])
+    def test_matches_per_occupation_spectrum(self, rng, n_modes, count):
+        # complex forms, whose levels have distinct real parts, and identical
+        # modes, whose real ties hold equal levels: in both the order does not
+        # hang on round-off (it does for frequencies with zero real part)
+        forms = [seeded_form(rng, n_modes, False) for _ in range(3)]
+        forms.append(oscillators((1.0,) * n_modes, 0.1, 0.0))
+        for form in forms:
+            decomp = decompose(form)
+            energies = np.array([decomp.spectrum(occ) for occ in
+                                 itertools.product(range(count + 1), repeat=n_modes)])
+            expected = energies[np.lexsort((energies.imag, energies.real))][:count]
+            levels = predicted_levels(decomp, count)
+            assert levels.dtype == np.complex128 and levels.shape == (count,)
+            assert np.all(np.abs(levels - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
 
 
 class TestVerifySpectrum:
@@ -580,6 +639,17 @@ class TestVerifyMetric:
         assert exact.relative_residual < 16 * np.finfo(float).eps
         nearby = bogoliubov_map(OneModeParams(alpha, 0.9 * beta), 1.0)
         assert verify_metric(params, nearby, trunc).relative_residual > 1e-6
+
+    def test_residual_profile_is_the_max_over_each_leading_block(self):
+        params = OneModeParams(0.3, 0.5)
+        cmap = bogoliubov_map(params, 1.0)
+        trunc = FockTruncation(1, 40)
+        factor = fock._metric_factor(cmap, trunc)
+        rho = factor @ factor.conj().T
+        ham = assemble(one_mode(params), trunc)
+        resid = np.abs(rho @ ham - ham.conj().T @ rho)
+        expected = tuple(float(np.max(resid[:cut, :cut])) for cut in range(1, 41))
+        assert verify_metric(params, cmap, trunc).residual_profile == expected
 
     def test_interior_validation(self):
         params = OneModeParams(0.1, 0.1)
