@@ -1,16 +1,17 @@
 """Brute-force verification in a truncated number basis.
 
-Every quadratic form can be assembled as a dense matrix on the product
-Fock space with each mode cut off at nmax levels, term by term from index
-maps on the basis' occupation table. Diagonalizing that matrix gives an
-oracle for the ladder-operator predictions that knows nothing about the
-algebraic construction. Every quadratic term changes the total boson
-number by 0 or +/-2, so the matrix is block-diagonal in total-number
-parity and the oracle solves the two blocks apart, in real arithmetic
-when the form is real. A block of at most _DENSE_BLOCK_MAX (256) states
-is diagonalized in full; a larger one is solved by Arnoldi iteration
-for only the lowest levels + 1 eigenvalues a spectrum check reads, and
-the reported spectrum then holds just those from that block. A copy of a
+Every quadratic form can be assembled on the product Fock space with each
+mode cut off at nmax levels, as COO triplets composed term by term from
+the single-operator index maps of the basis' occupation table; no dense
+full-size matrix is formed. Its spectrum is an oracle for the
+ladder-operator predictions that knows nothing about the algebraic
+construction. Every quadratic term changes the total boson number by 0 or
++/-2, so the operator is block-diagonal in total-number parity and the
+oracle builds and solves the two blocks apart, in real arithmetic when the
+form is real. A block of at most _DENSE_BLOCK_MAX (256) states is scattered
+densely and diagonalized in full; a larger one is built as CSR and solved
+by Arnoldi iteration for only the lowest levels + 1 eigenvalues a spectrum
+check reads, so the reported spectrum then holds just those. A copy of a
 repeated level the iteration missed is looked for by one more Arnoldi
 run for a single value, from an independent start vector with the found
 eigenvectors deflated. Truncation corrupts elements near the cutoff, so
@@ -98,41 +99,51 @@ def _cap_error(trunc: FockTruncation, stride: int, what: str) -> ValueError:
     return ValueError(f"{what} exceeds cap {trunc.cap}; {hint}")
 
 
-def _product(trunc: FockTruncation, indices) -> tuple:
-    """Truncated O_i O_j .. (0-based basis indices) as an index map (rows, cols, weights).
+def _ladder_maps(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, weights): O_i of (a_1..a_K, a_1^dag..a_K^dag) sends basis state n to
+    targets[i, n], or -1 where it leaves the table, with weight weights[i, n]
+    (a|n> = sqrt(n) |n-1>, a^dag|n> = sqrt(n+1) |n+1>)."""
+    occ = trunc.occupations().T
+    mode, step = np.tile(np.arange(trunc.n_modes), 2), np.repeat([-1, 1], trunc.n_modes)
+    moved = occ[mode] + step[:, None]
+    shift = step * trunc.cutoff ** (trunc.n_modes - 1 - mode)  # mode 1 slowest
+    inside = (moved >= 0) & (moved < trunc.cutoff)
+    return (np.where(inside, np.arange(trunc.dimension) + shift[:, None], -1),
+            np.sqrt(np.maximum(occ[mode], moved)))
 
-    Basis state cols[n] goes to rows[n] with weight weights[n], every other state to
-    zero. The rightmost operator acts first (a|n> = sqrt(n) |n-1>, a^dag|n> =
-    sqrt(n+1) |n+1>); a state pushed out of the table is dropped at that step.
+
+def _product(maps: tuple, indices) -> tuple:
+    """Truncated O_i O_j .. (0-based) as an index map (rows, cols, weights), from _ladder_maps.
+
+    Basis state cols[n] goes to rows[n] with weight weights[n], every other state to zero.
+    The rightmost operator acts first; a state pushed out of the table is dropped then.
     """
-    occ = trunc.occupations()
-    cols = np.arange(trunc.dimension)
-    weights = np.ones(trunc.dimension)
+    targets, factors = maps
+    cols = np.arange(targets.shape[1])
+    rows, weights = cols, 1.0
     for i in reversed(indices):
-        mode = i % trunc.n_modes
-        moved = occ[:, mode] + (1 if i >= trunc.n_modes else -1)
-        weights = weights * np.sqrt(np.maximum(occ[:, mode], moved))
-        inside = (moved >= 0) & (moved < trunc.cutoff)
-        occ, cols, weights = occ[inside], cols[inside], weights[inside]
-        occ[:, mode] = moved[inside]
-    rows = np.ravel_multi_index(occ.T, (trunc.cutoff,) * trunc.n_modes)
+        rows, weights = targets[i][rows], weights * factors[i][rows]
+        inside = rows >= 0
+        rows, cols, weights = rows[inside], cols[inside], weights[inside]
     return rows, cols, weights
 
 
 def fock_matrices(trunc: FockTruncation) -> list[np.ndarray]:
     """Truncated matrices of (a_1..a_K, a_1^dag..a_K^dag), each scattered from its index map."""
     mats = np.zeros((2 * trunc.n_modes, trunc.dimension, trunc.dimension))
+    maps = _ladder_maps(trunc)
     for i, mat in enumerate(mats):
-        rows, cols, weights = _product(trunc, [i])
+        rows, cols, weights = _product(maps, [i])
         mat[rows, cols] = weights
     return list(mats)
 
 
-def assemble(form: QuadraticForm, trunc: FockTruncation) -> np.ndarray:
-    """Dense matrix sum_ij G[i,j] M_i M_j + offset * I on the truncated space.
+def assemble(form: QuadraticForm, trunc: FockTruncation) -> tuple:
+    """COO triplets (rows, cols, values, dimension) of sum_ij G[i,j] M_i M_j + offset * I.
 
-    The matrix is float64 when every coefficient and the offset are real,
-    complex128 otherwise.
+    One run of entries per nonzero G[i,j] in np.nonzero order, then the offset
+    on the diagonal; a position repeated across runs sums in this order (_dense).
+    values are float64 when every coefficient and the offset are real, else complex128.
     """
     if form.basis.n_modes != trunc.n_modes:
         raise ValueError(
@@ -141,17 +152,27 @@ def assemble(form: QuadraticForm, trunc: FockTruncation) -> np.ndarray:
     g, offset = form.coeffs, form.offset
     if not np.any(g.imag) and offset.imag == 0:
         g, offset = g.real, offset.real
-    out = np.zeros((trunc.dimension, trunc.dimension), dtype=g.dtype)
+    maps = _ladder_maps(trunc)
+    terms = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, g.dtype))]  # typed even with no term
     for i, j in zip(*np.nonzero(g)):
-        rows, cols, weights = _product(trunc, (i, j))
-        out[rows, cols] += g[i, j] * weights
+        rows, cols, weights = _product(maps, (i, j))
+        terms.append((rows, cols, g[i, j] * weights))
     if offset != 0:
-        out[np.diag_indices(trunc.dimension)] += offset
+        diagonal = np.arange(trunc.dimension)
+        terms.append((diagonal, diagonal, np.full(trunc.dimension, offset)))
+    rows, cols, values = (np.concatenate(column) for column in zip(*terms))
+    return rows, cols, values, trunc.dimension
+
+
+def _dense(rows, cols, values, size: int) -> np.ndarray:
+    """Dense size x size matrix of COO triplets, a repeated position summed in entry order."""
+    out = np.zeros((size, size), dtype=values.dtype)
+    np.add.at(out.reshape(-1), rows * size + cols, values)
     return out
 
 
-def oracle_eigenvalues(matrix: np.ndarray, count: int | None = None) -> np.ndarray:
-    """Eigenvalues of a dense matrix as a complex array, sorted by real part then imaginary.
+def oracle_eigenvalues(matrix, count: int | None = None) -> np.ndarray:
+    """Eigenvalues of a dense or scipy.sparse matrix, complex, sorted by real then imaginary part.
 
     With count None, or for a matrix of at most _DENSE_BLOCK_MAX states,
     every eigenvalue is returned, a real matrix diagonalized in real
@@ -161,7 +182,8 @@ def oracle_eigenvalues(matrix: np.ndarray, count: int | None = None) -> np.ndarr
     one keeps a complex-conjugate pair at the boundary whole. Where
     Arnoldi fails or misses a level, the matrix is solved densely.
     """
-    matrix = np.asarray(matrix)
+    sparse = hasattr(matrix, "tocsr")  # a scipy.sparse block is densified only to solve in full
+    matrix = matrix if sparse else np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     values = None
@@ -169,12 +191,12 @@ def oracle_eigenvalues(matrix: np.ndarray, count: int | None = None) -> np.ndarr
     if count is not None and size > _DENSE_BLOCK_MAX and count + 1 < size - 1:
         values = _lowest_by_arnoldi(matrix, count + 1)
     if values is None:
-        values = np.linalg.eigvals(matrix)
+        values = np.linalg.eigvals(matrix.toarray() if sparse else matrix)
     values = values.astype(complex, copy=False)
     return values[np.lexsort((values.imag, values.real))]
 
 
-def _lowest_by_arnoldi(matrix: np.ndarray, k: int) -> np.ndarray | None:
+def _lowest_by_arnoldi(matrix, k: int) -> np.ndarray | None:
     """The k eigenvalues of smallest real part, or None where ARPACK cannot vouch for them.
 
     A Krylov space meets each eigenvalue through a single vector, so it can
@@ -190,12 +212,12 @@ def _lowest_by_arnoldi(matrix: np.ndarray, k: int) -> np.ndarray | None:
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
     size = matrix.shape[0]
-    sparse = csr_array(matrix)
+    sparse = csr_array(matrix)  # a CSR block is taken as it is, not copied
     # ARPACK passes over an eigenvalue that is exactly zero (diag(256..0) gives
     # 1..4 for k = 4), so every real part is lifted to 1 or above; by Gershgorin's
     # theorem Re(lambda) >= min_i (Re m_ii - sum_j!=i |m_ij|)
-    diagonal = matrix.diagonal()
-    lift = 1.0 - float(np.min(diagonal.real - np.abs(matrix).sum(axis=1) + np.abs(diagonal)))
+    diagonal = sparse.diagonal()
+    lift = 1.0 - float(np.min(diagonal.real - abs(sparse).sum(axis=1) + np.abs(diagonal)))
     # fixed, so that runs repeat; random, so that no symmetry of the basis
     # (all-ones is even under mode exchange) keeps Arnoldi in one sector
     start = np.random.default_rng(0).standard_normal(size)
@@ -235,14 +257,21 @@ def _lowest_by_arnoldi(matrix: np.ndarray, k: int) -> np.ndarray | None:
     return values - lift
 
 
-def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation,
-                        count: int | None = None) -> np.ndarray:
-    """Sorted oracle spectrum from one assembly and one solve per total-parity block."""
-    matrix = assemble(form, trunc)
-    odd = trunc.odd_mask()
-    values = np.concatenate(
-        [oracle_eigenvalues(matrix[np.ix_(mask, mask)], count) for mask in (~odd, odd)]
-    )
+def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation, count: int) -> np.ndarray:
+    """Sorted oracle spectrum from one assembly and one solve per total-parity block, each
+    built from its own states' triplets: densely up to _DENSE_BLOCK_MAX states, as CSR above."""
+    rows, cols, values, _ = assemble(form, trunc)
+    odd, spectra = trunc.odd_mask(), []
+    for mask in (~odd, odd):
+        size, keep, position = int(mask.sum()), mask[rows], np.cumsum(mask) - 1
+        r, c, v = position[rows[keep]], position[cols[keep]], values[keep]
+        if size <= _DENSE_BLOCK_MAX:
+            matrix = _dense(r, c, v, size)
+        else:
+            from scipy.sparse import csr_array  # see _lowest_by_arnoldi
+            matrix = csr_array((v, (r, c)), shape=(size, size))
+        spectra.append(oracle_eigenvalues(matrix, count))
+    values = np.concatenate(spectra)
     return values[np.lexsort((values.imag, values.real))]
 
 
@@ -350,8 +379,9 @@ def verify_adjoint_action(form: QuadraticForm, trunc: FockTruncation) -> Adjoint
     cutoff - 2 must vanish to round-off; the full-matrix residual keeps
     the truncation-corrupted corner for inspection.
     """
-    maps = [_product(trunc, [i]) for i in range(2 * trunc.n_modes)]
-    ham = assemble(form, trunc)
+    ladder = _ladder_maps(trunc)
+    maps = [_product(ladder, [i]) for i in range(2 * trunc.n_modes)]
+    ham = _dense(*assemble(form, trunc))
     rep = adjoint_rep(form)
     mask = trunc.interior_mask()
     interior, full = [], []
@@ -418,7 +448,7 @@ def _metric_factor(cmap: CanonicalMap, trunc: FockTruncation) -> np.ndarray:
         )
     e = 1.0 / pivot.real
     a = -0.5 * e * rep[1, 0]
-    lower = sla.expm(a * assemble(build_quadratic(cmap.basis, [(2, 2, 1.0)]), trunc))
+    lower = sla.expm(a * _dense(*assemble(build_quadratic(cmap.basis, [(2, 2, 1.0)]), trunc)))
     return lower * e ** (0.5 * np.arange(trunc.cutoff) + 0.25)
 
 
@@ -453,7 +483,7 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
 
     factor = _metric_factor(cmap, trunc)
     rho = factor @ factor.conj().T
-    ham = assemble(one_mode(params), trunc)
+    ham = _dense(*assemble(one_mode(params), trunc))
     resid = rho @ ham - ham.conj().T @ rho
 
     # max over resid[:cut, :cut] for every cut: row i and column i, each up to

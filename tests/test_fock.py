@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_array
 
 from quadboson import (
     BosonBasis,
@@ -42,6 +43,12 @@ def seeded_form(rng, n_modes, real):
     if real:
         return QuadraticForm(BosonBasis(n_modes), g.real, offset=float(rng.normal()))
     return QuadraticForm(BosonBasis(n_modes), g, offset=complex(*rng.normal(size=2)))
+
+
+def assemble_dense(form, trunc):
+    """The assembled operator as a dense matrix, its triplets summed by one toarray()."""
+    rows, cols, values, dim = assemble(form, trunc)
+    return coo_array((values, (rows, cols)), shape=(dim, dim)).toarray()
 
 
 class TestFockMatrices:
@@ -104,7 +111,7 @@ class TestFockMatrices:
 class TestAssemble:
     def test_harmonic_is_diagonal(self):
         form = one_mode(OneModeParams(0.0, 0.0))
-        mat = assemble(form, FockTruncation(1, 10))
+        mat = assemble_dense(form, FockTruncation(1, 10))
         interior = np.arange(9)
         assert np.allclose(np.diag(mat)[interior], interior + 0.5, atol=1e-14)
         off = mat - np.diag(np.diag(mat))
@@ -112,22 +119,22 @@ class TestAssemble:
 
     def test_swanson_couples_levels_two_apart(self):
         form = one_mode(OneModeParams(0.3, 0.5))
-        mat = assemble(form, FockTruncation(1, 12))
+        mat = assemble_dense(form, FockTruncation(1, 12))
         nz = np.argwhere(np.abs(mat) > 1e-14)
         assert set(np.unique(nz[:, 0] - nz[:, 1])) == {-2, 0, 2}
 
     def test_hermitian_iff_conjugate_parameters(self):
-        herm = assemble(
+        herm = assemble_dense(
             one_mode(OneModeParams(0.3 + 0.2j, 0.3 - 0.2j)), FockTruncation(1, 15)
         )
         assert np.max(np.abs(herm - herm.conj().T)) < 1e-13
-        nonherm = assemble(one_mode(OneModeParams(0.3, 0.5)), FockTruncation(1, 15))
+        nonherm = assemble_dense(one_mode(OneModeParams(0.3, 0.5)), FockTruncation(1, 15))
         assert np.max(np.abs(nonherm - nonherm.conj().T)) > 0.1
 
     def test_offset_enters_diagonal(self):
         basis = BosonBasis(1)
         form = QuadraticForm(basis, np.zeros((2, 2)), offset=2.5)
-        mat = assemble(form, FockTruncation(1, 4))
+        mat = assemble_dense(form, FockTruncation(1, 4))
         assert np.allclose(mat, 2.5 * np.eye(4), atol=1e-15)
 
     def test_mode_count_mismatch(self):
@@ -153,7 +160,7 @@ class TestAssemble:
                     if form.coeffs[i, j] != 0:
                         expected += form.coeffs[i, j] * (ops[i] @ ops[j])
             expected += form.offset * np.eye(trunc.dimension)
-            assert np.array_equal(assemble(form, trunc), expected)
+            assert np.array_equal(assemble_dense(form, trunc), expected)
 
     @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4)])
     def test_odd_mask_marks_odd_total_number(self, n_modes, cutoff):
@@ -175,7 +182,7 @@ class TestAssemble:
         trunc = FockTruncation(n_modes, cutoff)
         odd = trunc.odd_mask()
         for _ in range(3):
-            mat = assemble(seeded_form(rng, n_modes, real), trunc)
+            mat = assemble_dense(seeded_form(rng, n_modes, real), trunc)
             assert np.count_nonzero(mat[np.ix_(odd, ~odd)]) == 0
             assert np.count_nonzero(mat[np.ix_(~odd, odd)]) == 0
             assert np.count_nonzero(mat[np.ix_(odd, odd)]) > 0
@@ -183,26 +190,95 @@ class TestAssemble:
     def test_real_form_gives_real_matrix(self):
         trunc = FockTruncation(1, 8)
         real = one_mode(OneModeParams(0.3, 0.5))
-        assert assemble(real, trunc).dtype == np.float64
-        assert assemble(one_mode(OneModeParams(0.3 + 0.1j, 0.5)), trunc).dtype == np.complex128
+        assert assemble(real, trunc)[2].dtype == np.float64
+        assert assemble(one_mode(OneModeParams(0.3 + 0.1j, 0.5)), trunc)[2].dtype == np.complex128
         shifted = QuadraticForm(real.basis, real.coeffs, offset=0.5j)
-        assert assemble(shifted, trunc).dtype == np.complex128
+        assert assemble(shifted, trunc)[2].dtype == np.complex128
         # an imaginary offset too small to change any real part forces the
         # complex path; the real matrix must be its real part, bit for bit
         complex_copy = QuadraticForm(real.basis, real.coeffs, offset=1e-300j)
-        assert np.array_equal(assemble(real, trunc), assemble(complex_copy, trunc).real)
+        real_matrix = assemble_dense(real, trunc)
+        assert np.array_equal(real_matrix, assemble_dense(complex_copy, trunc).real)
 
     def test_assembly_allocates_no_dense_temporaries(self, rng):
-        # each term is scattered from an index map of a few vectors; a dense
-        # full-size temporary per term would double the peak
+        # each term is an index map of a few vectors and the triplets are those
+        # maps joined once (2.1x their size at the peak here); the dense complex
+        # matrix alone would take 16 times the triplets
         form = seeded_form(rng, 3, real=False)
         tracemalloc.start()
         try:
-            mat = assemble(form, FockTruncation(3, 10))
+            rows, cols, values, _ = assemble(form, FockTruncation(3, 10))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * mat.nbytes
+        assert peak <= 2.5 * (rows.nbytes + cols.nbytes + values.nbytes)
+
+    def test_triplets_in_term_order(self):
+        # one run of entries per nonzero coefficient in np.nonzero order, then
+        # the offset on the diagonal
+        form = QuadraticForm(BosonBasis(1), np.array([[0.0, 0.5], [0.5, 2.0]]), offset=0.25)
+        rows, cols, values, dim = assemble(form, FockTruncation(1, 4))
+        assert dim == 4
+        maps = fock._ladder_maps(FockTruncation(1, 4))
+        runs = [fock._product(maps, pair) for pair in ((0, 1), (1, 0), (1, 1))]
+        expected_rows = np.concatenate([run[0] for run in runs] + [np.arange(4)])
+        expected_cols = np.concatenate([run[1] for run in runs] + [np.arange(4)])
+        expected_values = np.concatenate([0.5 * runs[0][2], 0.5 * runs[1][2],
+                                          2.0 * runs[2][2], np.full(4, 0.25)])
+        assert rows.tolist() == expected_rows.tolist()
+        assert cols.tolist() == expected_cols.tolist()
+        assert values.dtype == np.float64 and np.array_equal(values, expected_values)
+
+
+def reference_product(trunc, indices):
+    """Truncated O_i O_j .. as an index map, walked state by state on the occupation table."""
+    occ = trunc.occupations()
+    cols = np.arange(trunc.dimension)
+    weights = np.ones(trunc.dimension)
+    for i in reversed(indices):
+        mode = i % trunc.n_modes
+        moved = occ[:, mode] + (1 if i >= trunc.n_modes else -1)
+        weights = weights * np.sqrt(np.maximum(occ[:, mode], moved))
+        inside = (moved >= 0) & (moved < trunc.cutoff)
+        occ, cols, weights = occ[inside], cols[inside], weights[inside]
+        occ[:, mode] = moved[inside]
+    rows = np.ravel_multi_index(occ.T, (trunc.cutoff,) * trunc.n_modes)
+    return rows, cols, weights
+
+
+def reference_dense(form, trunc):
+    """sum_ij G[i,j] M_i M_j + offset * I scattered term by term from reference_product."""
+    g, offset = form.coeffs, form.offset
+    if not np.any(g.imag) and offset.imag == 0:
+        g, offset = g.real, offset.real
+    out = np.zeros((trunc.dimension, trunc.dimension), dtype=g.dtype)
+    for i, j in zip(*np.nonzero(g)):
+        rows, cols, weights = reference_product(trunc, (i, j))
+        out[rows, cols] += g[i, j] * weights
+    if offset != 0:
+        out[np.diag_indices(trunc.dimension)] += offset
+    return out
+
+
+class TestIndexMaps:
+    """Maps composed from the single-operator maps against the occupation-table walk."""
+
+    @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4), (4, 3)])
+    def test_products_match_occupation_walk(self, n_modes, cutoff):
+        trunc = FockTruncation(n_modes, cutoff)
+        maps = fock._ladder_maps(trunc)
+        ops = range(2 * n_modes)
+        products = [[i] for i in ops] + [[i, j] for i in ops for j in ops]
+        # three raisings leave the table from every state at cutoff 3
+        products += [list(triple) for triple in itertools.product(ops, repeat=3)]
+        dropped = 0
+        for indices in products:
+            expected = reference_product(trunc, indices)
+            got = fock._product(maps, indices)
+            for want, have in zip(expected, got):
+                assert have.dtype == want.dtype and np.array_equal(have, want), indices
+            dropped += trunc.dimension - got[0].size
+        assert dropped > 0
 
 
 class TestOracleEigenvalues:
@@ -211,7 +287,7 @@ class TestOracleEigenvalues:
         assert np.allclose(values, [1.0, 2.0, 3.0], atol=1e-15)
 
     def test_harmonic_oscillator_levels(self):
-        mat = assemble(one_mode(OneModeParams(0.0, 0.0)), FockTruncation(1, 40))
+        mat = assemble_dense(one_mode(OneModeParams(0.0, 0.0)), FockTruncation(1, 40))
         values = oracle_eigenvalues(mat)
         assert np.max(np.abs(values[:20] - (np.arange(20) + 0.5))) < 1e-12
 
@@ -266,8 +342,18 @@ def counted_dense_solves(monkeypatch):
     return shapes
 
 
+def fresh_interpreter(probe):
+    """Standard output of `probe` run by a new interpreter that imports this quadboson."""
+    import quadboson
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quadboson.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
+
+
 def parity_blocks(form, trunc):
-    matrix = assemble(form, trunc)
+    matrix = assemble_dense(form, trunc)
     odd = trunc.odd_mask()
     return [matrix[np.ix_(mask, mask)] for mask in (~odd, odd)]
 
@@ -337,13 +423,48 @@ class TestArnoldiBlocks:
     def test_import_leaves_sparse_solver_unloaded(self):
         # the Arnoldi imports sit inside the solve: at module level they add
         # ~40 ms to every `import quadboson`
-        import quadboson
+        probe = ("import sys, quadboson; print([name in sys.modules "
+                 "for name in ('scipy.sparse', 'scipy.sparse.linalg')])")
+        assert fresh_interpreter(probe) == "[False, False]"
 
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quadboson.__file__)))
-        probe = "import sys, quadboson; print('scipy.sparse.linalg' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "False"
+    def test_small_blocks_leave_sparse_unloaded(self):
+        # every block of a one-mode check (40 states at most here) is scattered
+        # densely by numpy, and so is the metric check's operator
+        probe = (
+            "import sys, quadboson as qb\n"
+            "params = qb.OneModeParams(0.3, 0.5)\n"
+            "form = qb.one_mode(params)\n"
+            "report = qb.verify_spectrum(form, qb.decompose(form), 5, qb.FockTruncation(1, 60))\n"
+            "cmap = qb.bogoliubov_map(params, 1.0)\n"
+            "qb.verify_metric(params, cmap, qb.FockTruncation(1, 10))\n"
+            "print(report.passed, 'scipy.sparse' in sys.modules)"
+        )
+        assert fresh_interpreter(probe) == "True False"
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("n_modes,cutoff", [(1, 40), (2, 9), (2, 24), (3, 6), (4, 4), (4, 5)])
+    def test_blocks_match_dense_scatter(self, rng, monkeypatch, n_modes, cutoff, real):
+        # the blocks the oracle solves, against the full matrix scattered term
+        # by term and cut with np.ix_; at K=4 more than 8 terms meet on the
+        # diagonal, where a pairwise-summed reduction would differ in the last bit
+        trunc = FockTruncation(n_modes, cutoff)
+        form = seeded_form(rng, n_modes, real)
+        reference = reference_dense(form, trunc)
+        odd = trunc.odd_mask()
+        blocks = []
+        monkeypatch.setattr(fock, "oracle_eigenvalues",
+                            lambda matrix, count: blocks.append(matrix) or np.zeros(0, complex))
+        fock._parity_eigenvalues(form, trunc, 3)
+        assert len(blocks) == 2
+        for mask, block in zip((~odd, odd), blocks):
+            expected = reference[np.ix_(mask, mask)]
+            if expected.shape[0] <= fock._DENSE_BLOCK_MAX:
+                assert isinstance(block, np.ndarray)
+                assert block.dtype == expected.dtype and np.array_equal(block, expected)
+            else:
+                assert block.format == "csr" and block.dtype == expected.dtype
+                scale = np.max(np.abs(expected))
+                assert np.max(np.abs(block.toarray() - expected)) <= 1e-14 * scale
 
     def test_threshold_and_exact_zero_level(self):
         # 256 states are solved in full; 257 give count + 1 levels, among them
@@ -373,6 +494,20 @@ class TestArnoldiBlocks:
         assert shapes == [(63, 63), (62, 62)]
         assert report.eigenvalues.size == 125
         assert report.passed
+
+    def test_rerun_at_cap_stays_small(self):
+        # re-run at cutoff 16, 4096 states: two 2048-state CSR blocks, where a
+        # dense operator alone would take 128 MB
+        form = oscillators((0.9, 1.0, 1.1), 0.01, 0.02)
+        decomp = decompose(form)
+        tracemalloc.start()
+        try:
+            report = verify_spectrum(form, decomp, 4, FockTruncation(3, 11), tol=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 16 * 2 ** 20
 
 
 class TestPredictedLevels:
@@ -429,7 +564,7 @@ class TestVerifySpectrum:
     def test_ground_energy_matches_oracle(self):
         form = one_mode(OneModeParams(0.3, 0.5))
         decomp = decompose(form)
-        values = oracle_eigenvalues(assemble(form, FockTruncation(1, 50)))
+        values = oracle_eigenvalues(assemble_dense(form, FockTruncation(1, 50)))
         assert abs(values[0] - decomp.ground_energy) < 1e-10
 
     def test_complex_spectrum_is_report_only(self):
@@ -444,15 +579,15 @@ class TestVerifySpectrum:
         # conjugate parameters make the assembled matrix Hermitian; the
         # converged low levels must come out real
         form = one_mode(OneModeParams(0.2 + 0.3j, 0.2 - 0.3j))
-        values = oracle_eigenvalues(assemble(form, FockTruncation(1, 40)))
+        values = oracle_eigenvalues(assemble_dense(form, FockTruncation(1, 40)))
         assert np.max(np.abs(values[:10].imag)) < 1e-9
 
     def test_doubling_of_uncoupled_pair(self):
         # gamma = 0 factorizes: the pair spectrum is all sums of two copies
         single = one_mode(OneModeParams(0.1, 0.2))
-        ev1 = oracle_eigenvalues(assemble(single, FockTruncation(1, 14)))
+        ev1 = oracle_eigenvalues(assemble_dense(single, FockTruncation(1, 14)))
         pair = two_mode(TwoModeParams(0.1, 0.2, 0.0))
-        ev2 = oracle_eigenvalues(assemble(pair, FockTruncation(2, 14)))
+        ev2 = oracle_eigenvalues(assemble_dense(pair, FockTruncation(2, 14)))
         sums = np.array([a + b for a in ev1 for b in ev1])
         sums = sums[np.lexsort((sums.imag, sums.real))]
         assert np.max(np.abs(ev2[:8] - sums[:8])) < 1e-10
@@ -494,7 +629,7 @@ class TestVerifySpectrum:
             form = seeded_form(rng, n_modes, real)
             values = verify_spectrum(form, decompose(form), 1, trunc).eigenvalues
             assert np.all(np.diff(values.real) >= 0.0)
-            full = np.linalg.eigvals(assemble(form, trunc).astype(complex))
+            full = np.linalg.eigvals(assemble_dense(form, trunc).astype(complex))
             # conjugate pairs of a real matrix may tie on the real part and
             # swap places, so pair the two spectra by an optimal matching
             dist = np.abs(values[:, None] - full[None, :])
@@ -548,7 +683,7 @@ class TestVerifyAdjointAction:
         form = seeded_form(rng, 2, real=False)
         trunc = FockTruncation(2, 7)
         ops = fock_matrices(trunc)
-        ham = assemble(form, trunc)
+        ham = assemble_dense(form, trunc)
         rep = adjoint_rep(form)
         mask = trunc.interior_mask()
         interior, full = [], []
@@ -593,7 +728,7 @@ class TestVerifyMetric:
         # alpha = beta real: the assembled operator is already Hermitian,
         # so the identity metric works and ours must stay positive
         params = OneModeParams(0.2, 0.2)
-        ham = assemble(one_mode(params), FockTruncation(1, 30))
+        ham = assemble_dense(one_mode(params), FockTruncation(1, 30))
         assert np.max(np.abs(ham - ham.conj().T)) < 1e-13
         cmap = bogoliubov_map(params, 1.0)
         report = verify_metric(params, cmap, FockTruncation(1, 30), interior=10)
@@ -646,7 +781,7 @@ class TestVerifyMetric:
         trunc = FockTruncation(1, 40)
         factor = fock._metric_factor(cmap, trunc)
         rho = factor @ factor.conj().T
-        ham = assemble(one_mode(params), trunc)
+        ham = assemble_dense(one_mode(params), trunc)
         resid = np.abs(rho @ ham - ham.conj().T @ rho)
         expected = tuple(float(np.max(resid[:cut, :cut])) for cut in range(1, 41))
         assert verify_metric(params, cmap, trunc).residual_profile == expected
