@@ -62,6 +62,8 @@ class QuadraticForm:
         n = self.basis.size
         if mat.shape != (n, n):
             raise ValueError(f"coefficient matrix must be {n}x{n}, got {mat.shape}")
+        if not (np.all(np.isfinite(mat)) and np.isfinite(complex(self.offset))):
+            raise ValueError("coefficients and offset must be finite")
         scale = max(1.0, np.max(np.abs(mat))) if mat.size else 1.0
         asym = np.max(np.abs(mat - mat.T))
         if asym > _SYMMETRY_TOL * scale:

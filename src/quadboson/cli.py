@@ -109,7 +109,7 @@ def _parse_matrix(entries, field):
     try:
         rows = [[_as_complex(v, field) for v in row] for row in entries]
         mat = np.array(rows, dtype=complex)
-    except (TypeError, ConfigError) as exc:
+    except (TypeError, ValueError) as exc:  # ConfigError, or numpy's for a ragged matrix
         raise ConfigError(f"field '{field}': malformed matrix ({exc})") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 or mat.shape[0] < 2:
         raise ConfigError(f"field '{field}': matrix must be square with even size 2K")
@@ -240,11 +240,6 @@ def _print_matrix(label: str, mat: np.ndarray) -> None:
         print("  [" + ", ".join(_fmt_c(z) for z in row) + "]")
 
 
-def _sorted(values: np.ndarray) -> np.ndarray:
-    """Each spectrum along the last axis ordered by (real, imag)."""
-    return np.take_along_axis(values, np.lexsort((values.imag, values.real), axis=-1), axis=-1)
-
-
 def cmd_analyze(config: ModelConfig) -> int:
     form = _build_form(config)
     print(f"model: {config.kind}")
@@ -252,7 +247,8 @@ def cmd_analyze(config: ModelConfig) -> int:
     report = system.report
 
     if report.defective:
-        print("eigenvalues: " + ", ".join(_fmt_c(v) for v in _sorted(system.values)))
+        values = np.sort(system.values, kind="stable")
+        print("eigenvalues: " + ", ".join(_fmt_c(v) for v in values))
         print(f"reality: {system.reality.value}")
         print("exceptional point: defective adjoint matrix")
         for c in report.clusters:
@@ -309,7 +305,8 @@ def cmd_sweep(config: ModelConfig, out_path: str | None) -> int:
     ]
     # values.view(float) interleaves (re, im) per eigenvalue, the column order;
     # "%.17g" is _fmt(x, 17), one format per row
-    numbers = np.column_stack([points, _sorted(values).view(float)]).tolist()
+    values = np.sort(values, axis=-1, kind="stable")
+    numbers = np.column_stack([points, values.view(float)]).tolist()
     row = ",".join(["%.17g"] * len(numbers[0])) + ",%s,%d,%.17g"
     lines += [row % (*x, label.value, flag, g)
               for x, label, flag, g in zip(numbers, reality, defective.tolist(), gap.tolist())]

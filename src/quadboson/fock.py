@@ -7,11 +7,12 @@ full-size matrix is formed. Its spectrum is an oracle for the
 ladder-operator predictions that knows nothing about the algebraic
 construction. Every quadratic term changes the total boson number by 0 or
 +/-2, so the operator is block-diagonal in total-number parity and the
-oracle builds and solves the two blocks apart, in real arithmetic when the
-form is real. A block of at most _DENSE_BLOCK_MAX (256) states is scattered
-densely and diagonalized in full; a larger one is built as CSR and solved
-by Arnoldi iteration for only the lowest levels + 1 eigenvalues a spectrum
-check reads, so the reported spectrum then holds just those. A copy of a
+oracle cuts the two blocks' triplets apart and solves each, in real
+arithmetic when the form is real. oracle_eigenvalues alone picks the solve:
+a block of at most _DENSE_BLOCK_MAX (256) states is scattered densely and
+diagonalized in full; a larger one is built as CSR and solved by Arnoldi
+iteration for only the lowest levels + 1 eigenvalues a spectrum check
+reads, so the reported spectrum then holds just those. A copy of a
 repeated level the iteration missed is looked for by one more Arnoldi
 run for a single value, from an independent start vector with the found
 eigenvectors deflated. Truncation corrupts elements near the cutoff, so
@@ -53,6 +54,10 @@ class FockTruncation:
     cap: int = DEFAULT_DIMENSION_CAP
 
     def __post_init__(self):
+        for name in ("n_modes", "cutoff"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_modes < 1:
             raise ValueError(f"n_modes must be positive, got {self.n_modes}")
         if self.cutoff < 2:
@@ -171,33 +176,36 @@ def _dense(rows, cols, values, size: int) -> np.ndarray:
     return out
 
 
-def oracle_eigenvalues(matrix, count: int | None = None) -> np.ndarray:
-    """Eigenvalues of a dense or scipy.sparse matrix, complex, sorted by real then imaginary part.
+def oracle_eigenvalues(operator: tuple, count: int | None = None) -> np.ndarray:
+    """Eigenvalues of COO triplets (rows, cols, values, size), complex, sorted by (real, imag).
 
-    With count None, or for a matrix of at most _DENSE_BLOCK_MAX states,
-    every eigenvalue is returned, a real matrix diagonalized in real
-    arithmetic. A larger matrix given a count returns only its lowest
-    count + 1 eigenvalues, found by implicitly restarted Arnoldi (ARPACK;
-    Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998); the extra
-    one keeps a complex-conjugate pair at the boundary whole. Where
-    Arnoldi fails or misses a level, the matrix is solved densely.
+    The triplets are read as assemble returns them, a repeated position
+    summed in entry order; an entry outside size raises ValueError. With
+    count None, or for an operator of at most _DENSE_BLOCK_MAX states, it
+    is scattered densely and every eigenvalue is returned, a real operator
+    diagonalized in real arithmetic. A larger operator given a count is
+    built as CSR and returns only its lowest count + 1 eigenvalues, found
+    by implicitly restarted Arnoldi (ARPACK; Lehoucq, Sorensen & Yang,
+    ARPACK Users' Guide, SIAM 1998); the extra one keeps a complex-conjugate
+    pair at the boundary whole. Where Arnoldi fails or misses a level, the
+    operator is scattered densely and solved in full.
     """
-    sparse = hasattr(matrix, "tocsr")  # a scipy.sparse block is densified only to solve in full
-    matrix = matrix if sparse else np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    values = None
-    size = matrix.shape[0]
+    rows, cols, values, size = operator
+    if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= size):
+        raise ValueError(f"COO entries lie outside the {size}-state operator")
+    eigenvalues = None
     if count is not None and size > _DENSE_BLOCK_MAX and count + 1 < size - 1:
-        values = _lowest_by_arnoldi(matrix, count + 1)
-    if values is None:
-        values = np.linalg.eigvals(matrix.toarray() if sparse else matrix)
-    values = values.astype(complex, copy=False)
-    return values[np.lexsort((values.imag, values.real))]
+        # imported here: at module level scipy.sparse adds ~40 ms to every `import quadboson`
+        from scipy.sparse import csr_array
+        eigenvalues = _lowest_by_arnoldi(csr_array((values, (rows, cols)), shape=(size, size)),
+                                         count + 1)
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvals(_dense(rows, cols, values, size))
+    return np.sort(eigenvalues.astype(complex, copy=False), kind="stable")
 
 
 def _lowest_by_arnoldi(matrix, k: int) -> np.ndarray | None:
-    """The k eigenvalues of smallest real part, or None where ARPACK cannot vouch for them.
+    """The k eigenvalues of smallest real part of a CSR matrix, or None where ARPACK can't vouch.
 
     A Krylov space meets each eigenvalue through a single vector, so it can
     miss a copy of a repeated eigenvalue (identical modes give such levels).
@@ -207,31 +215,26 @@ def _lowest_by_arnoldi(matrix, k: int) -> np.ndarray | None:
     below the highest found level was missed. None also covers ARPACK
     errors, non-convergence included.
     """
-    # imported here: at module level scipy.sparse adds ~40 ms to every `import quadboson`
-    from scipy.sparse import csr_array
+    from scipy.sparse import identity  # see oracle_eigenvalues
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
     size = matrix.shape[0]
-    sparse = csr_array(matrix)  # a CSR block is taken as it is, not copied
     # ARPACK passes over an eigenvalue that is exactly zero (diag(256..0) gives
     # 1..4 for k = 4), so every real part is lifted to 1 or above; by Gershgorin's
     # theorem Re(lambda) >= min_i (Re m_ii - sum_j!=i |m_ij|)
-    diagonal = sparse.diagonal()
-    lift = 1.0 - float(np.min(diagonal.real - abs(sparse).sum(axis=1) + np.abs(diagonal)))
-    # fixed, so that runs repeat; random, so that no symmetry of the basis
-    # (all-ones is even under mode exchange) keeps Arnoldi in one sector
+    diagonal = matrix.diagonal()
+    lift = 1.0 - float(np.min(diagonal.real - abs(matrix).sum(axis=1) + np.abs(diagonal)))
+    shifted = matrix + lift * identity(size, dtype=matrix.dtype, format="csr")
+    # fixed, so that runs in one process repeat bit for bit (across interpreters
+    # the results can differ at round-off); random, so that no symmetry of the
+    # basis (all-ones is even under mode exchange) keeps Arnoldi in one sector
     start = np.random.default_rng(0).standard_normal(size)
     # ARPACK's default of 10 * size restarts can outlast a dense solve many times
     # over on a badly non-normal block (3.6 s against 45 ms at 365 states); the
     # one-mode block at (0.3, 0.5) needs about size / 5 up to 2000 states
     restarts = size // 3
-
-    def lifted(v):
-        return sparse @ v + lift * v
-
     try:
-        values, vectors = eigs(LinearOperator((size, size), matvec=lifted, dtype=matrix.dtype),
-                               k=k, which="SR", v0=start, tol=0, maxiter=restarts)
+        values, vectors = eigs(shifted, k=k, which="SR", v0=start, tol=0, maxiter=restarts)
         if not np.iscomplexobj(matrix):
             vectors = np.hstack([vectors.real, vectors.imag])  # real basis, same span
         found = sla.orth(vectors)
@@ -240,7 +243,7 @@ def _lowest_by_arnoldi(matrix, k: int) -> np.ndarray | None:
 
         def deflated(v):  # found directions sent to 2 top, above top as top >= 1
             inside = found @ (found_h @ v)
-            w = lifted(v - inside)
+            w = shifted @ (v - inside)
             return w - found @ (found_h @ w) + 2.0 * top * inside
 
         # a second, independent start: the first one minus the found directions
@@ -259,20 +262,14 @@ def _lowest_by_arnoldi(matrix, k: int) -> np.ndarray | None:
 
 def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation, count: int) -> np.ndarray:
     """Sorted oracle spectrum from one assembly and one solve per total-parity block, each
-    built from its own states' triplets: densely up to _DENSE_BLOCK_MAX states, as CSR above."""
+    handed to oracle_eigenvalues as its own states' triplets."""
     rows, cols, values, _ = assemble(form, trunc)
     odd, spectra = trunc.odd_mask(), []
     for mask in (~odd, odd):
-        size, keep, position = int(mask.sum()), mask[rows], np.cumsum(mask) - 1
-        r, c, v = position[rows[keep]], position[cols[keep]], values[keep]
-        if size <= _DENSE_BLOCK_MAX:
-            matrix = _dense(r, c, v, size)
-        else:
-            from scipy.sparse import csr_array  # see _lowest_by_arnoldi
-            matrix = csr_array((v, (r, c)), shape=(size, size))
-        spectra.append(oracle_eigenvalues(matrix, count))
-    values = np.concatenate(spectra)
-    return values[np.lexsort((values.imag, values.real))]
+        keep, position = mask[rows], np.cumsum(mask) - 1
+        block = position[rows[keep]], position[cols[keep]], values[keep], int(mask.sum())
+        spectra.append(oracle_eigenvalues(block, count))
+    return np.sort(np.concatenate(spectra), kind="stable")
 
 
 def predicted_levels(decomp: SpectralDecomposition, count: int) -> np.ndarray:
@@ -285,8 +282,7 @@ def predicted_levels(decomp: SpectralDecomposition, count: int) -> np.ndarray:
     k = decomp.frequencies.size
     occ = np.indices((count + 1,) * k).reshape(k, -1).T
     energies = np.sum(decomp.frequencies * (occ + 0.5), axis=1) + decomp.offset
-    energies = energies[np.lexsort((energies.imag, energies.real))]
-    return energies[:count]
+    return np.sort(energies, kind="stable")[:count]
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,6 +131,17 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match="2x2"):
             QuadraticForm(BosonBasis(1), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("coeffs,offset", [
+        ([[0.0, np.nan], [1.0, 0.0]], 0.0),  # nan > tol is False: the symmetry check passes it
+        ([[np.nan, 0.5], [0.5, 0.0]], 0.0),
+        ([[0.0, np.inf], [np.inf, 0.0]], 0.0),
+        ([[0.0, 0.5], [0.5, 0.0]], np.nan),
+        ([[0.0, 0.5], [0.5, 0.0]], complex(0.0, np.inf)),
+    ])
+    def test_rejects_non_finite(self, coeffs, offset):
+        with pytest.raises(ValueError, match="must be finite"):
+            QuadraticForm(BosonBasis(1), coeffs, offset=offset)
+
     def test_basis_index_helpers(self):
         basis = BosonBasis(2)
         assert basis.size == 4

@@ -430,6 +430,8 @@ REFUSED_SETTINGS = [
     ("custom alpha", ["analyze"], dict(CUSTOM, alpha=[0.3, 0]), "field 'alpha'"),
     ("custom beta", ["analyze"], dict(CUSTOM, beta=[0.5, 0]), "field 'beta'"),
     ("custom gamma", ["analyze"], dict(CUSTOM, gamma=0.3), "field 'gamma'"),
+    ("ragged matrix", ["analyze"], dict(CUSTOM, matrix=[[1, 2], [3]]),
+     "field 'matrix': malformed matrix"),
 ]
 
 

@@ -51,6 +51,13 @@ def assemble_dense(form, trunc):
     return coo_array((values, (rows, cols)), shape=(dim, dim)).toarray()
 
 
+def triplets(matrix):
+    """COO triplets (rows, cols, values, size) of a dense square matrix's nonzero entries."""
+    matrix = np.asarray(matrix)
+    rows, cols = np.nonzero(matrix)
+    return rows, cols, matrix[rows, cols], matrix.shape[0]
+
+
 class TestFockMatrices:
     def test_single_mode_annihilator(self):
         a = fock_matrices(FockTruncation(1, 3))[0]
@@ -106,6 +113,15 @@ class TestFockMatrices:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             FockTruncation(1, 1)
+
+    @pytest.mark.parametrize("n_modes,cutoff", [(2, 3.5), (1.5, 4), (True, 4), (1, False),
+                                                (np.float64(2.0), 4)])
+    def test_rejects_non_integer_sizes(self, n_modes, cutoff):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FockTruncation(n_modes, cutoff)
+
+    def test_accepts_numpy_integer_sizes(self):
+        assert FockTruncation(np.int64(2), np.int32(3)).dimension == 9
 
 
 class TestAssemble:
@@ -283,37 +299,47 @@ class TestIndexMaps:
 
 class TestOracleEigenvalues:
     def test_diagonal_matrix(self):
-        values = oracle_eigenvalues(np.diag([3.0, 1.0, 2.0]))
+        values = oracle_eigenvalues(triplets(np.diag([3.0, 1.0, 2.0])))
         assert np.allclose(values, [1.0, 2.0, 3.0], atol=1e-15)
 
     def test_harmonic_oscillator_levels(self):
-        mat = assemble_dense(one_mode(OneModeParams(0.0, 0.0)), FockTruncation(1, 40))
-        values = oracle_eigenvalues(mat)
+        values = oracle_eigenvalues(assemble(one_mode(OneModeParams(0.0, 0.0)),
+                                             FockTruncation(1, 40)))
         assert np.max(np.abs(values[:20] - (np.arange(20) + 0.5))) < 1e-12
 
     def test_adjoint_matrix_self_test(self):
         # the 2x2 adjoint matrix itself doubles as an eigensolver check
         alpha, beta = 0.3, 0.5
         mat = np.array([[-1.0, 2 * alpha], [-2 * beta, 1.0]])
-        values = oracle_eigenvalues(mat)
+        values = oracle_eigenvalues(triplets(mat))
         assert np.allclose(values, [-ROOT_04, ROOT_04], atol=1e-14)
 
     def test_sort_order(self):
-        values = oracle_eigenvalues(np.diag([1.0 + 1.0j, 1.0 - 1.0j, 0.5]))
+        values = oracle_eigenvalues(triplets(np.diag([1.0 + 1.0j, 1.0 - 1.0j, 0.5])))
         assert values[0] == 0.5
         assert values[1] == 1.0 - 1.0j
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            oracle_eigenvalues(np.zeros((2, 3)))
+    @pytest.mark.parametrize("rows,cols", [([0, 2], [0, 1]), ([0, 1], [1, 2]),
+                                           ([0, -1], [0, 1]), ([0, 1], [-1, 1])],
+                             ids=["row-past-size", "col-past-size", "negative-row", "negative-col"])
+    def test_rejects_entries_outside_size(self, rows, cols):
+        with pytest.raises(ValueError, match="outside the 2-state operator"):
+            oracle_eigenvalues((np.array(rows), np.array(cols), np.ones(2), 2))
+
+    def test_repeated_positions_sum(self):
+        # assemble's triplets may repeat a position; its entries sum
+        operator = np.array([0, 1, 1, 0]), np.array([0, 1, 1, 0]), np.array([1.0, 2, 3, 4]), 2
+        assert oracle_eigenvalues(operator).tolist() == [5.0, 5.0]
+        empty = (np.zeros(0, int), np.zeros(0, int), np.zeros(0), 3)
+        assert oracle_eigenvalues(empty).tolist() == [0.0, 0.0, 0.0]
 
     def test_real_input_gives_complex_output(self):
-        values = oracle_eigenvalues(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        values = oracle_eigenvalues(triplets([[2.0, 0.0], [0.0, 1.0]]))
         assert values.dtype == np.complex128
         assert values.tolist() == [1.0, 2.0]
         # real arithmetic returns a conjugate pair with equal real parts, so
         # the imaginary part orders it
-        values = oracle_eigenvalues(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        values = oracle_eigenvalues(triplets([[0.0, -1.0], [1.0, 0.0]]))
         assert values.dtype == np.complex128
         assert np.allclose(values, [-1j, 1j], atol=1e-15)
 
@@ -353,9 +379,10 @@ def fresh_interpreter(probe):
 
 
 def parity_blocks(form, trunc):
+    """COO triplets of the even and odd blocks, cut from the dense operator with np.ix_."""
     matrix = assemble_dense(form, trunc)
     odd = trunc.odd_mask()
-    return [matrix[np.ix_(mask, mask)] for mask in (~odd, odd)]
+    return [triplets(matrix[np.ix_(mask, mask)]) for mask in (~odd, odd)]
 
 
 class TestArnoldiBlocks:
@@ -375,7 +402,7 @@ class TestArnoldiBlocks:
         ]
         for i, (form, trunc, physical) in enumerate(cases):
             block = parity_blocks(form, trunc)[1]
-            assert block.shape[0] > fock._DENSE_BLOCK_MAX
+            assert block[3] > fock._DENSE_BLOCK_MAX
             dense = oracle_eigenvalues(block)
             for count in (1 + i % 3, 4 + i % 3):  # every count 1..6, each on two blocks
                 lowest = oracle_eigenvalues(block, count)
@@ -384,6 +411,8 @@ class TestArnoldiBlocks:
                 assert np.all(np.abs(lowest[:count] - dense[:count]) <= 1e-10 * scale)
 
     def test_repeats_bit_for_bit(self, rng):
+        # within one process only: across interpreters heap alignment can move
+        # the results at round-off
         block = parity_blocks(seeded_form(rng, 3, False), FockTruncation(3, 9))[1]
         assert np.array_equal(oracle_eigenvalues(block, 4), oracle_eigenvalues(block, 4))
 
@@ -399,7 +428,7 @@ class TestArnoldiBlocks:
         # one start vector returns too few copies of some of them
         block = parity_blocks(oscillators((1.0,) * n_modes, squeeze, 0.0),
                               FockTruncation(n_modes, cutoff))[parity]
-        assert block.shape[0] > fock._DENSE_BLOCK_MAX
+        assert block[3] > fock._DENSE_BLOCK_MAX
         dense = oracle_eigenvalues(block)
         assert abs(dense[count - 1] - dense[count - 2]) < 1e-12  # a repeat inside the lowest
         lowest = oracle_eigenvalues(block, count)
@@ -412,8 +441,8 @@ class TestArnoldiBlocks:
         # round-off, runs out of restarts and sends this correct answer to
         # the dense solve
         block = parity_blocks(oscillators((1.0, 1.0, 1.0), 0.03, 0.0), FockTruncation(3, 9))[1]
-        assert block.shape[0] == 364
-        dense = np.sort_complex(np.linalg.eigvals(block))
+        assert block[3] == 364
+        dense = np.sort_complex(np.linalg.eigvals(fock._dense(*block)))
         assert abs(dense[2] - dense[0]) < 1e-12
         shapes = counted_dense_solves(monkeypatch)
         lowest = oracle_eigenvalues(block, 3)
@@ -451,27 +480,35 @@ class TestArnoldiBlocks:
         form = seeded_form(rng, n_modes, real)
         reference = reference_dense(form, trunc)
         odd = trunc.odd_mask()
-        blocks = []
+        blocks, matrices, solve = [], [], fock.oracle_eigenvalues
         monkeypatch.setattr(fock, "oracle_eigenvalues",
-                            lambda matrix, count: blocks.append(matrix) or np.zeros(0, complex))
+                            lambda block, count: blocks.append(block) or solve(block, count))
+        monkeypatch.setattr(fock, "_lowest_by_arnoldi",
+                            lambda matrix, k: matrices.append(matrix) or np.zeros(k, complex))
         fock._parity_eigenvalues(form, trunc, 3)
         assert len(blocks) == 2
+        large = []
         for mask, block in zip((~odd, odd), blocks):
             expected = reference[np.ix_(mask, mask)]
-            if expected.shape[0] <= fock._DENSE_BLOCK_MAX:
-                assert isinstance(block, np.ndarray)
-                assert block.dtype == expected.dtype and np.array_equal(block, expected)
-            else:
-                assert block.format == "csr" and block.dtype == expected.dtype
-                scale = np.max(np.abs(expected))
-                assert np.max(np.abs(block.toarray() - expected)) <= 1e-14 * scale
+            assert block[3] == expected.shape[0]
+            dense = fock._dense(*block)
+            assert dense.dtype == expected.dtype and np.array_equal(dense, expected)
+            if expected.shape[0] > fock._DENSE_BLOCK_MAX:
+                large.append(expected)
+        # only a block above the threshold is built as CSR, and it holds the same matrix
+        assert len(matrices) == len(large)
+        for matrix, expected in zip(matrices, large):
+            assert matrix.format == "csr" and matrix.dtype == expected.dtype
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(matrix.toarray() - expected)) <= 1e-14 * scale
 
     def test_threshold_and_exact_zero_level(self):
         # 256 states are solved in full; 257 give count + 1 levels, among them
         # an exactly zero one, which ARPACK passes over unless the block is lifted
         levels = np.arange(fock._DENSE_BLOCK_MAX + 1, dtype=float)[::-1]
-        assert oracle_eigenvalues(np.diag(levels[1:]), 3).size == fock._DENSE_BLOCK_MAX
-        assert np.allclose(oracle_eigenvalues(np.diag(levels), 3), [0, 1, 2, 3], atol=1e-12)
+        assert oracle_eigenvalues(triplets(np.diag(levels[1:])), 3).size == fock._DENSE_BLOCK_MAX
+        assert np.allclose(oracle_eigenvalues(triplets(np.diag(levels)), 3), [0, 1, 2, 3],
+                           atol=1e-12)
 
     def test_no_convergence_falls_back_to_dense(self, monkeypatch):
         import scipy.sparse.linalg
@@ -564,7 +601,7 @@ class TestVerifySpectrum:
     def test_ground_energy_matches_oracle(self):
         form = one_mode(OneModeParams(0.3, 0.5))
         decomp = decompose(form)
-        values = oracle_eigenvalues(assemble_dense(form, FockTruncation(1, 50)))
+        values = oracle_eigenvalues(assemble(form, FockTruncation(1, 50)))
         assert abs(values[0] - decomp.ground_energy) < 1e-10
 
     def test_complex_spectrum_is_report_only(self):
@@ -579,15 +616,15 @@ class TestVerifySpectrum:
         # conjugate parameters make the assembled matrix Hermitian; the
         # converged low levels must come out real
         form = one_mode(OneModeParams(0.2 + 0.3j, 0.2 - 0.3j))
-        values = oracle_eigenvalues(assemble_dense(form, FockTruncation(1, 40)))
+        values = oracle_eigenvalues(assemble(form, FockTruncation(1, 40)))
         assert np.max(np.abs(values[:10].imag)) < 1e-9
 
     def test_doubling_of_uncoupled_pair(self):
         # gamma = 0 factorizes: the pair spectrum is all sums of two copies
         single = one_mode(OneModeParams(0.1, 0.2))
-        ev1 = oracle_eigenvalues(assemble_dense(single, FockTruncation(1, 14)))
+        ev1 = oracle_eigenvalues(assemble(single, FockTruncation(1, 14)))
         pair = two_mode(TwoModeParams(0.1, 0.2, 0.0))
-        ev2 = oracle_eigenvalues(assemble_dense(pair, FockTruncation(2, 14)))
+        ev2 = oracle_eigenvalues(assemble(pair, FockTruncation(2, 14)))
         sums = np.array([a + b for a in ev1 for b in ev1])
         sums = sums[np.lexsort((sums.imag, sums.real))]
         assert np.max(np.abs(ev2[:8] - sums[:8])) < 1e-10
