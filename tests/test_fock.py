@@ -327,7 +327,7 @@ class TestOracleEigenvalues:
             oracle_eigenvalues((np.array(rows), np.array(cols), np.ones(2), 2))
 
     def test_repeated_positions_sum(self):
-        # assemble's triplets may repeat a position; its entries sum
+        # assemble's triplets may repeat a position, whose entries sum
         operator = np.array([0, 1, 1, 0]), np.array([0, 1, 1, 0]), np.array([1.0, 2, 3, 4]), 2
         assert oracle_eigenvalues(operator).tolist() == [5.0, 5.0]
         empty = (np.zeros(0, int), np.zeros(0, int), np.zeros(0), 3)
