@@ -30,7 +30,6 @@ from .swanson import (
     TwoModeParams,
     bogoliubov_map,
     generator_coeffs,
-    generator_from_map,
     is_pt_symmetric,
     one_mode,
     one_mode_ladders,
@@ -47,7 +46,6 @@ from .fock import (
     MetricReport,
     OracleReport,
     assemble,
-    fock_matrices,
     oracle_eigenvalues,
     predicted_levels,
     verify_adjoint_action,
@@ -65,10 +63,10 @@ __all__ = [
     "EPReport", "ExceptionalPointError", "eigenpairs", "normalize_pairs",
     "decompose", "spectrum", "classify_reality", "detect_ep",
     "OneModeParams", "TwoModeParams", "one_mode", "one_mode_lambdas",
-    "one_mode_ladders", "bogoliubov_map", "generator_from_map", "generator_coeffs",
+    "one_mode_ladders", "bogoliubov_map", "generator_coeffs",
     "two_mode", "two_mode_lambdas", "two_mode_ladders", "two_mode_ep_locus",
     "pt_conjugate", "is_pt_symmetric",
     "FockTruncation", "OracleReport", "AdjointActionReport", "MetricReport",
-    "fock_matrices", "assemble", "oracle_eigenvalues", "predicted_levels",
+    "assemble", "oracle_eigenvalues", "predicted_levels",
     "verify_spectrum", "verify_adjoint_action", "verify_metric",
 ]

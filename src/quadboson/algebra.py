@@ -29,24 +29,17 @@ class BosonBasis:
     n_modes: int
 
     def __post_init__(self):
-        if not isinstance(self.n_modes, (int, np.integer)) or self.n_modes < 1:
+        if not _is_integer(self.n_modes) or self.n_modes < 1:
             raise ValueError(f"n_modes must be a positive integer, got {self.n_modes!r}")
 
     @property
     def size(self) -> int:
         return 2 * self.n_modes
 
-    def is_annihilator(self, index: int) -> bool:
-        """True if the 1-based basis index denotes an annihilation operator."""
-        if not 1 <= index <= self.size:
-            raise IndexError(f"basis index {index} out of range 1..{self.size}")
-        return index <= self.n_modes
 
-    def conjugate_index(self, index: int) -> int:
-        """1-based index of the conjugate operator (a_i <-> a_i^dag)."""
-        if not 1 <= index <= self.size:
-            raise IndexError(f"basis index {index} out of range 1..{self.size}")
-        return index + self.n_modes if index <= self.n_modes else index - self.n_modes
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)

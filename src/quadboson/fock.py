@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .algebra import CanonicalMap, QuadraticForm, adjoint_rep, build_quadratic
+from .algebra import CanonicalMap, QuadraticForm, _is_integer, adjoint_rep, build_quadratic
 from .spectral import Reality, SpectralDecomposition
 from .swanson import OneModeParams, one_mode
 
@@ -54,14 +54,16 @@ class FockTruncation:
     cap: int = DEFAULT_DIMENSION_CAP
 
     def __post_init__(self):
-        for name in ("n_modes", "cutoff"):
+        for name in ("n_modes", "cutoff", "cap"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_modes < 1:
             raise ValueError(f"n_modes must be positive, got {self.n_modes}")
         if self.cutoff < 2:
             raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
+        if self.cap < 1:
+            raise ValueError(f"cap must be at least 1, got {self.cap}")
         if self.dimension > self.cap:
             raise _cap_error(self, 0, f"truncated dimension {self.dimension}")
 
@@ -133,16 +135,6 @@ def _product(maps: tuple, indices) -> tuple:
     return rows, cols, weights
 
 
-def fock_matrices(trunc: FockTruncation) -> list[np.ndarray]:
-    """Truncated matrices of (a_1..a_K, a_1^dag..a_K^dag), each scattered from its index map."""
-    mats = np.zeros((2 * trunc.n_modes, trunc.dimension, trunc.dimension))
-    maps = _ladder_maps(trunc)
-    for i, mat in enumerate(mats):
-        rows, cols, weights = _product(maps, [i])
-        mat[rows, cols] = weights
-    return list(mats)
-
-
 def assemble(form: QuadraticForm, trunc: FockTruncation) -> tuple:
     """COO triplets (rows, cols, values, dimension) of sum_ij G[i,j] M_i M_j + offset * I.
 
@@ -180,16 +172,19 @@ def oracle_eigenvalues(operator: tuple, count: int | None = None) -> np.ndarray:
     """Eigenvalues of COO triplets (rows, cols, values, size), complex, sorted by (real, imag).
 
     The triplets are read as assemble returns them, a repeated position
-    summed in entry order; an entry outside size raises ValueError. With
-    count None, or for an operator of at most _DENSE_BLOCK_MAX states, it
-    is scattered densely and every eigenvalue is returned, a real operator
-    diagonalized in real arithmetic. A larger operator given a count is
+    summed in entry order; an entry outside size, or a count that is not
+    None or a positive integer, raises ValueError. With count None, or for
+    an operator of at most _DENSE_BLOCK_MAX states, it is scattered densely
+    and every eigenvalue is returned, a real operator diagonalized in real
+    arithmetic. A larger operator given a count is
     built as CSR and returns only its lowest count + 1 eigenvalues, found
     by implicitly restarted Arnoldi (ARPACK; Lehoucq, Sorensen & Yang,
     ARPACK Users' Guide, SIAM 1998); the extra one keeps a complex-conjugate
     pair at the boundary whole. Where Arnoldi fails or misses a level, the
     operator is scattered densely and solved in full.
     """
+    if count is not None and not (_is_integer(count) and count >= 1):
+        raise ValueError(f"count must be None or a positive integer, got {count!r}")
     rows, cols, values, size = operator
     if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= size):
         raise ValueError(f"COO entries lie outside the {size}-state operator")
@@ -328,8 +323,8 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
     eigenvalues only, so the report's eigenvalues then hold just those
     from it (see oracle_eigenvalues).
     """
-    if levels < 1:
-        raise ValueError("levels must be positive")
+    if not (_is_integer(levels) and levels >= 1):
+        raise ValueError(f"levels must be a positive integer, got {levels!r}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if levels > trunc.dimension:
@@ -423,14 +418,14 @@ def _metric_factor(cmap: CanonicalMap, trunc: FockTruncation) -> np.ndarray:
 
     In normal order rho = sqrt(E) exp(A a^dag^2) E^(a^dag a) exp(conj(A) a^2)
     (Truax, Phys. Rev. D 31, 1988 (1985)). S = exp(Q) has the 2x2 adjoint
-    representation S^t = cmap.matrix.T (swanson.generator_from_map), and
-    Q^dag has the conjugated coefficients with a and a^dag swapped, so
-    exp(Q^dag) exp(Q) is represented by P conj(S^t)^-1 P S^t with P the
-    swap. That matrix factors as [[1, 0], [-2A, 1]] diag(1/E, E)
-    [[1, 2 conj(A)], [0, 1]], which fixes A and E. a^dag^2 is strictly
-    lower triangular in the number basis, so expm of its truncated matrix
-    is exactly the truncation of exp(A a^dag^2); F is that block with
-    column k scaled by E^(k/2 + 1/4).
+    representation S^t = cmap.matrix.T = exp(2 G u) (G from
+    swanson.generator_coeffs), and Q^dag has the conjugated coefficients
+    with a and a^dag swapped, so exp(Q^dag) exp(Q) is represented by
+    P conj(S^t)^-1 P S^t with P the swap. That matrix factors as
+    [[1, 0], [-2A, 1]] diag(1/E, E) [[1, 2 conj(A)], [0, 1]], which fixes
+    A and E. a^dag^2 is strictly lower triangular in the number basis, so
+    expm of its truncated matrix is exactly the truncation of
+    exp(A a^dag^2); F is that block with column k scaled by E^(k/2 + 1/4).
     """
     cmap.require_canonical()
     st = cmap.matrix.T

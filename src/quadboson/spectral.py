@@ -75,28 +75,10 @@ class EPReport:
     """Degeneracy diagnostics for an adjoint matrix."""
 
     clusters: tuple
-    defective: bool
-
-    def _first_defective(self):
-        for c in self.clusters:
-            if c.defective:
-                return c
-        return None
 
     @property
-    def degenerate_lambda(self):
-        c = self._first_defective()
-        return None if c is None else c.value
-
-    @property
-    def algebraic_mult(self):
-        c = self._first_defective()
-        return None if c is None else c.algebraic
-
-    @property
-    def geometric_mult(self):
-        c = self._first_defective()
-        return None if c is None else c.geometric
+    def defective(self) -> bool:
+        return any(c.defective for c in self.clusters)
 
 
 class ExceptionalPointError(RuntimeError):
@@ -192,7 +174,7 @@ class _Eigensystem:
     def ladders(self) -> list[LadderOperator]:
         """The +/- ordered ladder operators; see eigenpairs."""
         if self.report.defective:
-            bad = self.report._first_defective()
+            bad = next(c for c in self.report.clusters if c.defective)
             raise ExceptionalPointError(
                 f"adjoint matrix is defective at lambda={bad.value:.6g} "
                 f"(algebraic {bad.algebraic}, geometric {bad.geometric}); "
@@ -240,7 +222,7 @@ def _read_eigensystem(rep: np.ndarray, values: np.ndarray, vectors: np.ndarray) 
             geometric = min(algebraic, int(np.sum(sv <= tol)))
         clusters.append(EigenvalueCluster(center, algebraic, geometric))
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
-    report = EPReport(tuple(clusters), any(c.defective for c in clusters))
+    report = EPReport(tuple(clusters))
     if report.defective:
         reality = Reality.EXCEPTIONAL_POINT
     else:

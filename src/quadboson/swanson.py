@@ -21,7 +21,6 @@ from .algebra import (
     BosonBasis,
     CanonicalMap,
     QuadraticForm,
-    adjoint_rep,
     build_quadratic,
     commutator_linear,
     commutator_matrix,
@@ -142,11 +141,6 @@ def bogoliubov_map(params: OneModeParams, s11: float) -> CanonicalMap:
     s21 = -2.0 * alpha * s11 / (1.0 + root)
     s22 = 1.0 / (2.0 * s11 * root) + 1.0 / (2.0 * s11)
     return CanonicalMap(np.array([[s11, s12], [s21, s22]], dtype=complex))
-
-
-def generator_from_map(cmap: CanonicalMap) -> np.ndarray:
-    """Adjoint representation log(S^t) = 2 G u of the generator, G from generator_coeffs."""
-    return adjoint_rep(generator_coeffs(cmap))
 
 
 def generator_coeffs(cmap: CanonicalMap) -> QuadraticForm:

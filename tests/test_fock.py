@@ -22,7 +22,6 @@ from quadboson import (
     assemble,
     bogoliubov_map,
     decompose,
-    fock_matrices,
     one_mode,
     oracle_eigenvalues,
     predicted_levels,
@@ -51,6 +50,25 @@ def assemble_dense(form, trunc):
     return coo_array((values, (rows, cols)), shape=(dim, dim)).toarray()
 
 
+def embedded_ladders(n_modes, cutoff):
+    """Independent reference for (a_1..a_K, a_1^dag..a_K^dag): the one-mode a embedded
+    by np.kron, mode 1 leftmost."""
+    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
+    lowering = []
+    for mode in range(n_modes):
+        factors = [np.eye(cutoff)] * n_modes
+        factors[mode] = a
+        lowering.append(functools.reduce(np.kron, factors))
+    return lowering + [op.T for op in lowering]
+
+
+def scattered_ladders(trunc):
+    """The library's own one-operator index maps, each scattered into a dense matrix."""
+    maps = fock._ladder_maps(trunc)
+    return [fock._dense(*fock._product(maps, [i]), trunc.dimension)
+            for i in range(2 * trunc.n_modes)]
+
+
 def triplets(matrix):
     """COO triplets (rows, cols, values, size) of a dense square matrix's nonzero entries."""
     matrix = np.asarray(matrix)
@@ -60,17 +78,17 @@ def triplets(matrix):
 
 class TestFockMatrices:
     def test_single_mode_annihilator(self):
-        a = fock_matrices(FockTruncation(1, 3))[0]
+        a = scattered_ladders(FockTruncation(1, 3))[0]
         expected = [[0.0, 1.0, 0.0], [0.0, 0.0, np.sqrt(2.0)], [0.0, 0.0, 0.0]]
         assert np.allclose(a, expected, atol=1e-15)
 
     def test_creator_is_transpose(self):
-        a, ad = fock_matrices(FockTruncation(1, 6))
+        a, ad = scattered_ladders(FockTruncation(1, 6))
         assert np.array_equal(ad, a.T)
 
     def test_truncated_commutator_corner(self):
         nmax = 7
-        a, ad = fock_matrices(FockTruncation(1, nmax))
+        a, ad = scattered_ladders(FockTruncation(1, nmax))
         comm = a @ ad - ad @ a
         expected = np.eye(nmax)
         expected[-1, -1] = 1 - nmax
@@ -78,8 +96,8 @@ class TestFockMatrices:
 
     def test_two_mode_kron_ordering(self):
         trunc = FockTruncation(2, 4)
-        ops = fock_matrices(trunc)
-        single = fock_matrices(FockTruncation(1, 4))[0]
+        ops = scattered_ladders(trunc)
+        single = scattered_ladders(FockTruncation(1, 4))[0]
         eye = np.eye(4)
         assert np.array_equal(ops[0], np.kron(single, eye))
         assert np.array_equal(ops[1], np.kron(eye, single))
@@ -88,15 +106,11 @@ class TestFockMatrices:
 
     @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4)])
     def test_matches_kronecker_reference(self, n_modes, cutoff):
-        # independent reference: the one-mode a embedded by np.kron, mode 1 leftmost
-        a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
-        ops = fock_matrices(FockTruncation(n_modes, cutoff))
-        for mode in range(n_modes):
-            factors = [np.eye(cutoff)] * n_modes
-            factors[mode] = a
-            embedded = functools.reduce(np.kron, factors)
-            assert np.array_equal(ops[mode], embedded)
-            assert np.array_equal(ops[n_modes + mode], embedded.T)
+        ops = scattered_ladders(FockTruncation(n_modes, cutoff))
+        reference = embedded_ladders(n_modes, cutoff)
+        assert len(ops) == len(reference) == 2 * n_modes
+        for op, embedded in zip(ops, reference):
+            assert np.array_equal(op, embedded)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="feasible cutoff"):
@@ -122,6 +136,16 @@ class TestFockMatrices:
 
     def test_accepts_numpy_integer_sizes(self):
         assert FockTruncation(np.int64(2), np.int32(3)).dimension == 9
+        assert FockTruncation(2, 3, cap=np.int64(9)).cap == 9
+
+    @pytest.mark.parametrize("cap,message", [(None, "cap must be an integer"),
+                                             (4.5, "cap must be an integer"),
+                                             (True, "cap must be an integer"),
+                                             (0, "cap must be at least 1"),
+                                             (-1, "cap must be at least 1")])
+    def test_rejects_bad_cap(self, cap, message):
+        with pytest.raises(ValueError, match=message):
+            FockTruncation(2, 3, cap=cap)
 
 
 class TestAssemble:
@@ -169,7 +193,7 @@ class TestAssemble:
             g[zero | zero.T] = 0.0
             form = QuadraticForm(BosonBasis(n_modes), g, offset=complex(*rng.normal(size=2)))
             trunc = FockTruncation(n_modes, cutoff)
-            ops = fock_matrices(trunc)
+            ops = embedded_ladders(n_modes, cutoff)
             expected = np.zeros((trunc.dimension, trunc.dimension), dtype=complex)
             for i in range(size):
                 for j in range(size):
@@ -325,6 +349,20 @@ class TestOracleEigenvalues:
     def test_rejects_entries_outside_size(self, rows, cols):
         with pytest.raises(ValueError, match="outside the 2-state operator"):
             oracle_eigenvalues((np.array(rows), np.array(cols), np.ones(2), 2))
+
+    @pytest.mark.parametrize("cutoff", [100, 600], ids=["dense", "arnoldi"])
+    @pytest.mark.parametrize("count", [-1, 0, 2.5, True])
+    def test_rejects_count_that_is_not_a_positive_integer(self, cutoff, count):
+        # either side of _DENSE_BLOCK_MAX, a bad count used to return every
+        # eigenvalue or reach ARPACK, which named no argument of this function
+        operator = assemble(one_mode(OneModeParams(0.1, 0.2)), FockTruncation(1, cutoff))
+        with pytest.raises(ValueError, match="count must be None or a positive integer"):
+            oracle_eigenvalues(operator, count)
+
+    @pytest.mark.parametrize("cutoff,size", [(100, 100), (600, 3)], ids=["dense", "arnoldi"])
+    def test_accepts_numpy_integer_count(self, cutoff, size):
+        operator = assemble(one_mode(OneModeParams(0.1, 0.2)), FockTruncation(1, cutoff))
+        assert oracle_eigenvalues(operator, np.int64(2)).size == size
 
     def test_repeated_positions_sum(self):
         # assemble's triplets may repeat a position, whose entries sum
@@ -633,8 +671,9 @@ class TestVerifySpectrum:
     def test_levels_validation(self, tol):
         form = one_mode(OneModeParams(0.3, 0.5))
         decomp = decompose(form)
-        with pytest.raises(ValueError):
-            verify_spectrum(form, decomp, 0, FockTruncation(1, 10))
+        for levels in (0, 2.5, True):
+            with pytest.raises(ValueError, match="levels must be a positive integer"):
+                verify_spectrum(form, decomp, levels, FockTruncation(1, 10))
         # at nmax 12 the levels miss by 0.35: an infinite tol would pass them
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             verify_spectrum(form, decomp, 3, FockTruncation(1, 12), tol=tol)
@@ -719,7 +758,7 @@ class TestVerifyAdjointAction:
         # reference: the commutator from two dense full-size products
         form = seeded_form(rng, 2, real=False)
         trunc = FockTruncation(2, 7)
-        ops = fock_matrices(trunc)
+        ops = embedded_ladders(2, 7)
         ham = assemble_dense(form, trunc)
         rep = adjoint_rep(form)
         mask = trunc.interior_mask()
