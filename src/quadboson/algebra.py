@@ -177,7 +177,7 @@ def transform_form(form: QuadraticForm, cmap: CanonicalMap) -> QuadraticForm:
         )
     cmap.require_canonical()
     s = cmap.matrix
-    raw = s.T @ form.coeffs @ s
     u = commutator_matrix(form.basis)
-    sym, total = _normal_form(raw, form.offset, u)
+    with np.errstate(over="ignore", invalid="ignore"):  # QuadraticForm refuses non-finite ones
+        sym, total = _normal_form(s.T @ form.coeffs @ s, form.offset, u)
     return QuadraticForm(form.basis, sym, total)

@@ -354,7 +354,9 @@ def cmd_transform(config: ModelConfig, s11: float, with_oracle: bool) -> int:
         raise ConfigError("field 'model': transform requires a one_mode model")
     params = OneModeParams(config.alpha, config.beta)
     cmap = bogoliubov_map(params, s11)
-    # the metric check runs before any output, so a refused cutoff prints nothing else
+    # everything is computed before any output, so a refused setting prints nothing else
+    transformed = transform_form(one_mode(params), cmap)
+    gen = generator_coeffs(cmap)
     metric = verify_metric(params, cmap, FockTruncation(1, config.nmax)) if with_oracle else None
 
     s = cmap.matrix
@@ -367,10 +369,8 @@ def cmd_transform(config: ModelConfig, s11: float, with_oracle: bool) -> int:
     _print_matrix("canonical map S", s)
     print("determinant: " + _fmt_c(np.linalg.det(s)))
     print("map condition residuals: " + ", ".join(_fmt(abs(c)) for c in conditions))
-    transformed = transform_form(one_mode(params), cmap)
     _print_matrix("transformed coefficients", transformed.coeffs)
     print(f"transformed offset: {_fmt_c(transformed.offset)}")
-    gen = generator_coeffs(cmap)
     _print_matrix("generator coefficients", gen.coeffs)
 
     if metric is not None:

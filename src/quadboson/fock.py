@@ -17,6 +17,10 @@ repeated level the iteration missed is looked for by one more Arnoldi
 run for a single value, from an independent start vector with the found
 eigenvectors deflated. Truncation corrupts elements near the cutoff, so
 comparisons use interior blocks and are re-run at a larger cutoff.
+
+scipy is imported inside the functions that need it, the Arnoldi solve
+and the metric check, so importing this module, and every dense oracle
+solve, loads numpy only.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .algebra import CanonicalMap, QuadraticForm, _is_integer, adjoint_rep, build_quadratic
 from .spectral import Reality, SpectralDecomposition
@@ -190,7 +193,6 @@ def oracle_eigenvalues(operator: tuple, count: int | None = None) -> np.ndarray:
         raise ValueError(f"COO entries lie outside the {size}-state operator")
     eigenvalues = None
     if count is not None and size > _DENSE_BLOCK_MAX and count + 1 < size - 1:
-        # imported here: at module level scipy.sparse adds ~40 ms to every `import quadboson`
         from scipy.sparse import csr_array
         eigenvalues = _lowest_by_arnoldi(csr_array((values, (rows, cols)), shape=(size, size)),
                                          count + 1)
@@ -210,7 +212,8 @@ def _lowest_by_arnoldi(matrix, k: int) -> np.ndarray | None:
     below the highest found level was missed. None also covers ARPACK
     errors, non-convergence included.
     """
-    from scipy.sparse import identity  # see oracle_eigenvalues
+    import scipy.linalg as sla
+    from scipy.sparse import identity
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
     size = matrix.shape[0]
@@ -268,16 +271,21 @@ def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation, count: int) 
 
 
 def predicted_levels(decomp: SpectralDecomposition, count: int) -> np.ndarray:
-    """Lowest `count` energies of the diagonal form, by bounded occupation search.
+    """Lowest `count` energies sum_i frequencies[i] (n_i + 1/2) + offset of the diagonal form.
 
-    Every occupation tuple with each n_i <= count is one row of a table,
-    the energies sum_i frequencies[i] (n_i + 1/2) + offset are taken for
-    all rows at once and sorted by real part (imaginary tie-break).
+    Sorted by real part (imaginary tie-break). The modes are merged one at a
+    time, keeping the `count` lowest partial sums with each n_i <= count, so
+    the work is about count^2 per mode instead of a (count + 1)^K table.
+    Addition preserves the (real, imag) order, so every part of a sum among
+    the lowest `count` is among the lowest `count` of its own set; only where
+    rounding alone makes two real parts tie can the imaginary tie-break keep
+    a different one of the tied levels than the full table would.
     """
-    k = decomp.frequencies.size
-    occ = np.indices((count + 1,) * k).reshape(k, -1).T
-    energies = np.sum(decomp.frequencies * (occ + 0.5), axis=1) + decomp.offset
-    return np.sort(energies, kind="stable")[:count]
+    sums = np.zeros(1, dtype=complex)
+    for w in decomp.frequencies:
+        sums = np.sort((sums[:, None] + w * (np.arange(count + 1) + 0.5)).ravel(),
+                       kind="stable")[:count]
+    return np.sort(sums + decomp.offset, kind="stable")
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,6 +435,8 @@ def _metric_factor(cmap: CanonicalMap, trunc: FockTruncation) -> np.ndarray:
     expm of its truncated matrix is exactly the truncation of
     exp(A a^dag^2); F is that block with column k scaled by E^(k/2 + 1/4).
     """
+    import scipy.linalg as sla
+
     cmap.require_canonical()
     st = cmap.matrix.T
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -459,6 +469,8 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
     Raises ValueError when 1 - 4 alpha beta is not real: the frequency is
     then complex and no metric with rho H = H^dag rho exists.
     """
+    import scipy.linalg as sla
+
     if trunc.n_modes != 1:
         raise ValueError("metric verification is defined for the one-mode model")
     disc = 1.0 - 4.0 * params.alpha * params.beta

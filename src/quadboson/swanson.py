@@ -8,6 +8,9 @@ closed-form eigenvalues, ladder operators (one sector solution serves
 both), and (for one mode) an algebraic Bogoliubov-type map that rotates
 the operator into a plain number-operator form, together with the
 generator of the similarity transformation.
+
+scipy is imported inside generator_coeffs, the only function that needs it,
+so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .algebra import (
     BosonBasis,
@@ -119,7 +121,8 @@ def bogoliubov_map(params: OneModeParams, s11: float) -> CanonicalMap:
     requirements that the transformed operator commute twice with a and
     with a^dag; s11 > 0 real fixes the leftover gauge. Defined everywhere
     except the exceptional point alpha*beta = 1/4 and where 1 - 4 alpha beta
-    is negative real.
+    is negative real; an s11 extreme enough to overflow an entry raises
+    ValueError.
     """
     s = complex(s11)
     if s.imag != 0.0 or not 0.0 < s.real < np.inf:
@@ -137,10 +140,14 @@ def bogoliubov_map(params: OneModeParams, s11: float) -> CanonicalMap:
             "square root branch does not yield a real-gauge map here"
         )
     root = np.sqrt(disc)
-    s12 = -beta / (s11 * root)
-    s21 = -2.0 * alpha * s11 / (1.0 + root)
-    s22 = 1.0 / (2.0 * s11 * root) + 1.0 / (2.0 * s11)
-    return CanonicalMap(np.array([[s11, s12], [s21, s22]], dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without warnings
+        s12 = -beta / (s11 * root)
+        s21 = -2.0 * alpha * s11 / (1.0 + root)
+        s22 = 1.0 / (2.0 * s11 * root) + 1.0 / (2.0 * s11)
+    matrix = np.array([[s11, s12], [s21, s22]], dtype=complex)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"s11 = {s11!r} gives a map with a non-finite entry")
+    return CanonicalMap(matrix)
 
 
 def generator_coeffs(cmap: CanonicalMap) -> QuadraticForm:
@@ -148,6 +155,8 @@ def generator_coeffs(cmap: CanonicalMap) -> QuadraticForm:
 
     The principal logarithm must exist and the coefficients come out symmetric.
     """
+    import scipy.linalg as sla
+
     st = cmap.matrix.T
     eig = np.linalg.eigvals(st)
     on_cut = (np.abs(eig.imag) < 1e-14 * np.maximum(1.0, np.abs(eig))) & (eig.real <= 0.0)

@@ -432,14 +432,21 @@ REFUSED_SETTINGS = [
     ("custom gamma", ["analyze"], dict(CUSTOM, gamma=0.3), "field 'gamma'"),
     ("ragged matrix", ["analyze"], dict(CUSTOM, matrix=[[1, 2], [3]]),
      "field 'matrix': malformed matrix"),
+    # a map entry overflows; a finite map whose transformed form overflows
+    ("transform --s11 1e-320", ["transform", "--s11", "1e-320"], ONE_MODE,
+     "s11 = 1e-320 gives a map with a non-finite entry"),
+    ("transform --s11 1e-200", ["transform", "--s11", "1e-200"], ONE_MODE,
+     "coefficients and offset must be finite"),
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv,config,named", [r[1:] for r in REFUSED_SETTINGS],
                          ids=[r[0] for r in REFUSED_SETTINGS])
 def test_refused_setting_prints_one_error_line(tmp_path, capsys, argv, config, named):
     # a flag is checked exactly like its config field, json's NaN/Infinity literals
-    # are refused like any other non-number, and nothing is printed before the refusal
+    # are refused like any other non-number, and nothing is printed before the
+    # refusal, numpy warnings included (they would reach stderr outside pytest)
     code = main([argv[0], "--config", write_config(tmp_path, config), *argv[1:]])
     out, err = capsys.readouterr()
     assert code == 1

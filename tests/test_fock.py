@@ -17,6 +17,7 @@ from quadboson import (
     OneModeParams,
     QuadraticForm,
     Reality,
+    SpectralDecomposition,
     TwoModeParams,
     adjoint_rep,
     assemble,
@@ -416,6 +417,30 @@ def fresh_interpreter(probe):
     return out.stdout.strip()
 
 
+class TestScipyImports:
+    def test_numpy_only_paths_leave_scipy_unloaded(self):
+        # scipy is imported only inside the oracle's Arnoldi solve, the metric
+        # check and the map generator; importing it costs about as much as the
+        # rest of `import quadboson`, and the spectral and sweep paths need none of it
+        data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+        configs = [os.path.join(data, f"sweep_{model}.json") for model in ("one_mode", "two_mode")]
+        probe = (
+            "import contextlib, io, sys\n"
+            "import quadboson as qb\n"
+            "from quadboson import cli\n"
+            "params = qb.OneModeParams(0.3, 0.5)\n"
+            "form = qb.two_mode(qb.TwoModeParams(0.1, 0.2, 0.3))\n"
+            "qb.decompose(form), qb.detect_ep(qb.adjoint_rep(form))\n"
+            "qb.classify_reality(qb.adjoint_rep(form))\n"
+            "qb.transform_form(qb.one_mode(params), qb.bogoliubov_map(params, 1.0))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main([command, '--config', path]) for path in {configs!r}\n"
+            "             for command in ('analyze', 'sweep')]\n"
+            "print(codes, [name for name in sys.modules if name.split('.')[0] == 'scipy'])"
+        )
+        assert fresh_interpreter(probe) == "[0, 0, 0, 0] []"
+
+
 def parity_blocks(form, trunc):
     """COO triplets of the even and odd blocks, cut from the dense operator with np.ix_."""
     matrix = assemble_dense(form, trunc)
@@ -486,13 +511,6 @@ class TestArnoldiBlocks:
         lowest = oracle_eigenvalues(block, 3)
         assert shapes == []
         assert np.max(np.abs(lowest[:3] - dense[:3])) < 1e-10
-
-    def test_import_leaves_sparse_solver_unloaded(self):
-        # the Arnoldi imports sit inside the solve: at module level they add
-        # ~40 ms to every `import quadboson`
-        probe = ("import sys, quadboson; print([name in sys.modules "
-                 "for name in ('scipy.sparse', 'scipy.sparse.linalg')])")
-        assert fresh_interpreter(probe) == "[False, False]"
 
     def test_small_blocks_leave_sparse_unloaded(self):
         # every block of a one-mode check (40 states at most here) is scattered
@@ -611,6 +629,54 @@ class TestPredictedLevels:
             levels = predicted_levels(decomp, count)
             assert levels.dtype == np.complex128 and levels.shape == (count,)
             assert np.all(np.abs(levels - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize("n_modes,count", [(1, 30), (2, 12), (3, 7), (4, 5)])
+    def test_matches_full_occupation_table(self, rng, n_modes, count):
+        # reference: every occupation tuple with each n_i <= count, summed mode by
+        # mode and sorted. Tied levels come from identical modes and integer
+        # frequencies, which are exact in floating point (with decimal ones such
+        # as 0.1 rounding alone can tie real parts; see predicted_levels)
+        occ = np.array(list(itertools.product(range(count + 1), repeat=n_modes)))
+        cases = [
+            (freqs, offset)
+            for freqs in (
+                rng.uniform(0.1, 2.0, n_modes) + 0j,
+                rng.uniform(-1.0, 2.0, n_modes) + 1j * rng.uniform(-1.0, 1.0, n_modes),
+                np.full(n_modes, 1.0 + 0j),
+                np.full(n_modes, 0.5 - 0.25j),
+                rng.integers(-2, 3, n_modes) + 0.5j * rng.integers(-2, 3, n_modes),
+            )
+            for offset in (0.0, complex(*rng.normal(size=2)))
+        ]
+        if n_modes == 2:  # adding this offset to the sorted sums reorders two of them
+            cases.append((np.array([0.1 + 0.2j, 0.2 - 0.2j]), 0.4 + 1j))
+        for freqs, offset in cases:
+            decomp = SpectralDecomposition((), freqs, 0j, Reality.COMPLEX, False, offset)
+            table = offset + sum(w * (occ[:, i] + 0.5) for i, w in enumerate(freqs))
+            expected = np.sort(table, kind="stable")[:count]
+            assert np.array_equal(predicted_levels(decomp, count), expected)
+
+    def test_many_levels_of_three_modes_stay_small(self, monkeypatch):
+        # the full table would hold 1001^3 occupation triples (24 GB); the merge
+        # sorts about count^2 sums per mode
+        def no_table(*args, **kwargs):
+            raise AssertionError("predicted_levels built the full occupation table")
+
+        monkeypatch.setattr(np, "indices", no_table)
+        freqs = np.array([1.0, 1.0, 2.0]) + 0j
+        decomp = SpectralDecomposition((), freqs, 0j, Reality.ALL_REAL, False, 0j)
+        tracemalloc.start()
+        levels = predicted_levels(decomp, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert levels.shape == (1000,)
+        # the energies n_1 + n_2 + 2 n_3 + 2 are integers, exact in floating point;
+        # total t is reached by t - 2 n_3 + 1 tuples for each n_3 <= t / 2
+        totals = np.arange(40)
+        counts = [sum(t - 2 * n3 + 1 for n3 in range(t // 2 + 1)) for t in totals]
+        expected = np.repeat(totals + 2.0, counts)[:1000]
+        assert np.array_equal(levels, expected.astype(complex))
+        assert peak < 64 * 2 ** 20
 
 
 class TestVerifySpectrum:
