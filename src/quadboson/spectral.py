@@ -233,24 +233,27 @@ def _read_eigensystem(rep: np.ndarray, values: np.ndarray, vectors: np.ndarray) 
 def _stacked_labels(reps: np.ndarray):
     """Spectra, Reality labels, defective flags and minimum gaps of a stack.
 
-    One eig call solves all (N, 2K, 2K) reps. A point whose eigenvalues all
-    lie at least twice the cluster width apart holds only simple clusters, so
-    its label is the reality test alone; the others (an over-flagging mask,
-    never a missed pair) are read by _read_eigensystem from the same solve.
+    One eigvals call solves all (N, 2K, 2K) reps. A point whose eigenvalues
+    all lie at least twice the cluster width apart holds only simple clusters,
+    so its label is the reality test alone; the others (an over-flagging mask,
+    never a missed pair) get their eigenvectors from one eig call on just
+    those reps and are read by _read_eigensystem.
     The minimum gap is the smallest pairwise distance, taken with hypot, which
     matches the scalar abs() of a complex difference bit for bit where the
     vectorized abs can differ by one ulp.
     """
-    values, vectors = np.linalg.eig(reps)
+    values = np.linalg.eigvals(reps)
     scale = np.maximum(1.0, np.abs(reps).sum(axis=-1).max(axis=-1))
     i, j = np.triu_indices(values.shape[-1], 1)
     diff = values[:, i] - values[:, j]
     gap = np.hypot(diff.real, diff.imag).min(axis=-1)
     reality = np.where(_is_real(values), Reality.ALL_REAL, Reality.COMPLEX)
     defective = np.zeros(len(reps), dtype=bool)
-    for n in np.flatnonzero(gap < 2.0 * CLUSTER_TOL * scale):
-        system = _read_eigensystem(reps[n], values[n], vectors[n])
-        reality[n], defective[n] = system.reality, system.report.defective
+    flagged = np.flatnonzero(gap < 2.0 * CLUSTER_TOL * scale)
+    if flagged.size:
+        for n, fvalues, fvectors in zip(flagged, *np.linalg.eig(reps[flagged])):
+            system = _read_eigensystem(reps[n], fvalues, fvectors)
+            reality[n], defective[n] = system.reality, system.report.defective
     return values, reality, defective, gap
 
 

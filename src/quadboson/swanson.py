@@ -15,6 +15,7 @@ so importing this module loads numpy only.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +167,9 @@ def generator_coeffs(cmap: CanonicalMap) -> QuadraticForm:
             "the principal logarithm is undefined -- rebuild the map with a "
             "different s11 gauge"
         )
-    q_rep = np.asarray(sla.logm(st), dtype=complex)
+    with warnings.catch_warnings():  # an inaccurate logarithm is refused below
+        warnings.simplefilter("ignore")
+        q_rep = np.asarray(sla.logm(st), dtype=complex)
     gq = -0.5 * q_rep @ commutator_matrix(cmap.basis)
     asym = np.max(np.abs(gq - gq.T))
     if asym > _GENERATOR_SYMMETRY_TOL:

@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +247,49 @@ class TestSweep:
         assert code == 1 and out == ""
         assert "field 'sweep" in err
 
+    def test_memory_bounded_by_chunk(self, tmp_path):
+        # a 300x300 grid (90,000 points, about 5.5 chunks) held whole peaks near
+        # 130 MB under tracemalloc; one 2**14-point chunk at a time stays far below
+        config = {"model": "two_mode", "beta": [0.5, 0.0], "sweep": [
+            {"parameter": "gamma", "start": -2.0, "stop": 2.0, "steps": 300},
+            {"parameter": "alpha_re", "start": 0.0, "stop": 1.0, "steps": 300}]}
+        path, out = write_config(tmp_path, config), tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6, f"peak {peak / 1e6:.1f} MB"
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 3 + 300 * 300
+
+    def test_reader_closing_early_is_not_an_error(self, tmp_path):
+        # `quadboson sweep | head`: the pipe closes while later chunks are still due
+        config = dict(ONE_MODE, sweep=[dict(AXIS, steps=200),
+                                       dict(AXIS, parameter="beta_re", steps=100)])
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quadboson.cli", "sweep", "--config",
+             write_config(tmp_path, config)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.readline().startswith(b"# tool: quadboson")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == b""
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_grid_refused_before_output(self, tmp_path, capsys):
+        # gamma's linspace steps overflow, and alpha_re's corner would give infinite
+        # entries; both are found from the axes before the file is opened
+        config = {"model": "two_mode", "beta": [0.5, 0.0], "sweep": [
+            {"parameter": "alpha_re", "start": 0.0, "stop": 1e308, "steps": 3},
+            {"parameter": "gamma", "start": -1e308, "stop": 1e308, "steps": 3}]}
+        out = tmp_path / "grid.csv"
+        code = main(["sweep", "--config", write_config(tmp_path, config), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.splitlines() == ["error: field 'sweep': the grid or its adjoint matrices overflow"]
+
 
 class TestOracle:
     def test_one_mode_pass(self, tmp_path, capsys):
@@ -367,6 +414,17 @@ class TestTransform:
         assert code == 0 and err == ""
         assert "[-0.3+0i, 1+0i]" in out and "min metric eigenvalue" in out
 
+    @pytest.mark.filterwarnings("error")
+    def test_inaccurate_logarithm_refused_in_one_line(self, tmp_path, capsys):
+        # scipy's logm warns that this map's logarithm is singular and inaccurate;
+        # generator_coeffs refuses that result itself, so its error is the only output
+        path = write_config(tmp_path, ONE_MODE)
+        code = main(["transform", "--config", path, "--s11", "1e-100"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: recovered generator coefficients are not symmetric")
+
     def test_missing_config_file(self, capsys):
         assert main(["analyze", "--config", "/nonexistent/cfg.json"]) == 1
 
@@ -468,11 +526,12 @@ def test_exceptional_point_error_maps_to_exit_2(tmp_path, capsys, monkeypatch):
 
 def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch):
     # EP detection, reality classification and ladder extraction all read
-    # the same eigendecomposition; a sweep solves its whole grid as one stack.
+    # the same eigendecomposition; a sweep solves its whole grid as one stack
+    # of eigenvalues, and eigenvectors only at the points it flags.
     calls = []
     for name in ("eig", "eigvals"):
-        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
-            calls.append(np.shape(a))
+        def counted(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
             return _solve(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
 
@@ -482,15 +541,21 @@ def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch):
         calls.clear()
         main(["analyze", "--config", write_config(tmp_path, config)])
         assert len(calls) == 1
+    # the diabolic gamma = 0 node is the one flagged point
     calls.clear()
     config = dict(TWO_MODE, sweep=[{"parameter": "gamma", "start": 0.0, "stop": 1.0, "steps": 7}])
     assert main(["sweep", "--config", write_config(tmp_path, config)]) == 0
-    assert calls == [(7, 4, 4)]
-    # the EP node at alpha = 0.5 is read from the stacked solve, not solved again
+    assert calls == [("eigvals", (7, 4, 4)), ("eig", (1, 4, 4))]
+    # the EP node at alpha = 0.5 is solved again for its eigenvectors, alone
     calls.clear()
     config = dict(ONE_MODE, sweep=[{"parameter": "alpha_re", "start": 0.3, "stop": 0.7, "steps": 5}])
     assert main(["sweep", "--config", write_config(tmp_path, config)]) == 0
-    assert calls == [(5, 2, 2)]
+    assert calls == [("eigvals", (5, 2, 2)), ("eig", (1, 2, 2))]
+    # a grid with well-separated eigenvalues everywhere needs no eigenvectors
+    calls.clear()
+    config = dict(ONE_MODE, sweep=[{"parameter": "alpha_re", "start": 0.1, "stop": 0.3, "steps": 5}])
+    assert main(["sweep", "--config", write_config(tmp_path, config)]) == 0
+    assert calls == [("eigvals", (5, 2, 2))]
 
 
 REFERENCE_GRIDS = {
@@ -536,8 +601,9 @@ def per_point_sweep(config):
     return "\n".join(lines) + "\n", np.array(reps)
 
 
-@pytest.mark.parametrize("name", REFERENCE_GRIDS)
-def test_stacked_sweep_matches_per_point_reference(tmp_path, monkeypatch, name):
+def sweep_against_reference(tmp_path, monkeypatch, name):
+    """Sweep REFERENCE_GRIDS[name] through main, check it against per_point_sweep
+    byte for byte and value for value, and return the stacks it solved."""
     path = write_config(tmp_path, REFERENCE_GRIDS[name])
     expected, expected_reps = per_point_sweep(cli.load_config(path))
     stacks = []
@@ -553,5 +619,20 @@ def test_stacked_sweep_matches_per_point_reference(tmp_path, monkeypatch, name):
     got, want = out.read_text(encoding="utf-8").splitlines(), expected.splitlines()
     differing = [n for n, (a, b) in enumerate(zip(got, want)) if a != b]
     assert len(got) == len(want) and not differing, f"rows differ: {differing[:5]}"
+    assert out.read_bytes() == expected.encode("utf-8")
     # equal values, not bytes: the affine stack may hold +0 where a form has -0
-    assert np.array_equal(stacks[0], expected_reps)
+    assert np.array_equal(np.concatenate(stacks), expected_reps)
+    return stacks
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRIDS)
+def test_stacked_sweep_matches_per_point_reference(tmp_path, monkeypatch, name):
+    assert len(sweep_against_reference(tmp_path, monkeypatch, name)) == 1
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRIDS)
+def test_chunked_sweep_matches_per_point_reference(tmp_path, monkeypatch, name):
+    # 7 points per chunk: many chunks, most with no flagged point, and a short last one
+    monkeypatch.setattr(cli, "_SWEEP_CHUNK", 7)
+    sizes = [len(s) for s in sweep_against_reference(tmp_path, monkeypatch, name)]
+    assert len(sizes) > 1 and set(sizes[:-1]) == {7} and 0 < sizes[-1] < 7
