@@ -113,9 +113,10 @@ def commutator_matrix(basis: BosonBasis) -> np.ndarray:
 def _normal_form(raw: np.ndarray, offset: complex, u: np.ndarray) -> tuple[np.ndarray, complex]:
     # O_i O_j = (O_i O_j + O_j O_i)/2 + u[i,j]/2 moves all antisymmetric
     # content of the raw coefficients into the scalar.
-    sym = 0.5 * (raw + raw.T)
-    shift = 0.5 * np.sum(raw * u)
-    return sym, complex(offset + shift)
+    with np.errstate(over="ignore", invalid="ignore"):  # QuadraticForm refuses non-finite ones
+        sym = 0.5 * (raw + raw.T)
+        shift = 0.5 * np.sum(raw * u)
+        return sym, complex(offset + shift)
 
 
 def build_quadratic(basis: BosonBasis, raw_terms, offset: complex = 0.0) -> QuadraticForm:
@@ -178,6 +179,6 @@ def transform_form(form: QuadraticForm, cmap: CanonicalMap) -> QuadraticForm:
     cmap.require_canonical()
     s = cmap.matrix
     u = commutator_matrix(form.basis)
-    with np.errstate(over="ignore", invalid="ignore"):  # QuadraticForm refuses non-finite ones
+    with np.errstate(over="ignore", invalid="ignore"):  # S^t G S may overflow as well
         sym, total = _normal_form(s.T @ form.coeffs @ s, form.offset, u)
     return QuadraticForm(form.basis, sym, total)

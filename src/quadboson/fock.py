@@ -8,9 +8,13 @@ ladder-operator predictions that knows nothing about the algebraic
 construction. Every quadratic term changes the total boson number by 0 or
 +/-2, so the operator is block-diagonal in total-number parity and the
 oracle cuts the two blocks' triplets apart and solves each, in real
-arithmetic when the form is real. oracle_eigenvalues alone picks the solve:
+arithmetic when the form is real. Where a number scaling makes the form
+Hermitian (_hermitian_balance), that similar form is solved instead, each
+block of at most _HERMITIAN_BLOCK_MAX (512) states in full by eigvalsh; the
+untruncated spectrum need not be real for that. oracle_eigenvalues picks the solve:
 a block of at most _DENSE_BLOCK_MAX (256) states is scattered densely and
-diagonalized in full; a larger one is built as CSR and solved by Arnoldi
+diagonalized in full, by eigvalsh when it equals its conjugate transpose
+exactly; a larger one is built as CSR and solved by Arnoldi
 iteration for only the lowest levels + 1 eigenvalues a spectrum check
 reads, so the reported spectrum then holds just those. A copy of a
 repeated level the iteration missed is looked for by one more Arnoldi
@@ -44,6 +48,13 @@ _METRIC_REAL_TOL = 1e-9
 # states. The strongly non-normal one-mode block at (0.3, 0.5) crosses later:
 # 260 states 33 / 36, 300 states 37-49 / 43-65, 400 states 80 / 53.
 _DENSE_BLOCK_MAX = 256
+# Largest parity block of a balanced form (_hermitian_balance) solved in full.
+# Best of 15, one BLAS thread, eigvalsh against Arnoldi (ms), two-mode
+# (0.1, 0.2, 0.3): 313 states 8.2 / 23-26, 512 states 17-18 / 21, 613 states
+# 29-39 / 22-26; one-mode (0.3, 0.5), 300 states: 4.6-4.8 / 34-42.
+_HERMITIAN_BLOCK_MAX = 512
+# Largest misfit of the balancing equations, relative to their largest log ratio.
+_BALANCE_TOL = 1e-13
 # A level left below the largest Arnoldi level by more than this (relative) was missed.
 _ARNOLDI_SLACK = 1e-10
 
@@ -179,7 +190,8 @@ def oracle_eigenvalues(operator: tuple, count: int | None = None) -> np.ndarray:
     None or a positive integer, raises ValueError. With count None, or for
     an operator of at most _DENSE_BLOCK_MAX states, it is scattered densely
     and every eigenvalue is returned, a real operator diagonalized in real
-    arithmetic. A larger operator given a count is
+    arithmetic, by eigvalsh when the scattered matrix equals its conjugate
+    transpose exactly, else by eigvals. A larger operator given a count is
     built as CSR and returns only its lowest count + 1 eigenvalues, found
     by implicitly restarted Arnoldi (ARPACK; Lehoucq, Sorensen & Yang,
     ARPACK Users' Guide, SIAM 1998); the extra one keeps a complex-conjugate
@@ -197,7 +209,9 @@ def oracle_eigenvalues(operator: tuple, count: int | None = None) -> np.ndarray:
         eigenvalues = _lowest_by_arnoldi(csr_array((values, (rows, cols)), shape=(size, size)),
                                          count + 1)
     if eigenvalues is None:
-        eigenvalues = np.linalg.eigvals(_dense(rows, cols, values, size))
+        dense = _dense(rows, cols, values, size)
+        hermitian = np.array_equal(dense, dense.conj().T)
+        eigenvalues = (np.linalg.eigvalsh if hermitian else np.linalg.eigvals)(dense)
     return np.sort(eigenvalues.astype(complex, copy=False), kind="stable")
 
 
@@ -258,15 +272,61 @@ def _lowest_by_arnoldi(matrix, k: int) -> np.ndarray | None:
     return values - lift
 
 
-def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation, count: int) -> np.ndarray:
+def _hermitian_balance(form: QuadraticForm) -> QuadraticForm | None:
+    """The form of D H D^-1, Hermitian in the number basis, or None where no such D is found.
+
+    D = prod_i r_i^(a_i^dag a_i) scales G[p,q] by s_p s_q, s = (1/r_1..1/r_K,
+    r_1..r_K), and is diagonal in the number basis, so it relates the
+    truncated matrices exactly too. With bar swapping a_i and a_i^dag, the
+    result is Hermitian when G'[bar p, bar q] = conj(G'[p,q]): for each nonzero
+    pair 2 (+/-x_i +/- x_j) = log(conj(G[p,q]) / G[bar p, bar q]), x = log r, + for
+    a lowering operator, solved by least squares. For one mode r^2 = sqrt(alpha
+    / beta) (Musumbu, Geyer & Heiss, J. Phys. A 40, F75 (2007)). None where bar
+    changes the zero pattern, a ratio is not positive, the misfit exceeds
+    _BALANCE_TOL or the offset is complex. Averaging with the bar-conjugate
+    makes the result exactly Hermitian and, by Bauer-Fike, moves eigenvalues
+    by about _BALANCE_TOL ||H||. The untruncated operator need not have a real
+    spectrum: for alpha beta > 1/4 it is unbounded below.
+    """
+    k, g = form.basis.n_modes, form.coeffs
+    bar = np.roll(np.arange(2 * k), k)
+    mirror = g[np.ix_(bar, bar)]
+    if form.offset.imag != 0 or not np.array_equal(g != 0, mirror != 0):
+        return None
+    p, q = np.nonzero(g)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        logs = np.log(g[p, q].conj() / mirror[p, q])
+    if not np.all(np.isfinite(logs)):
+        return None
+    steps = 2.0 * np.vstack([np.eye(k), -np.eye(k)])
+    system = steps[p] + steps[q]
+    x = np.linalg.lstsq(system, logs.real, rcond=None)[0]
+    misfit = np.max(np.abs(system @ x - logs), initial=0.0)
+    if not misfit <= _BALANCE_TOL * max(1.0, np.max(np.abs(logs), initial=0.0)):
+        return None
+    s = np.exp(np.concatenate([-x, x]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an unbounded scale on a zero entry
+        scaled = np.where(g != 0, np.outer(s, s) * g, 0.0)
+    return QuadraticForm(form.basis, 0.5 * (scaled + scaled[np.ix_(bar, bar)].conj()),
+                         form.offset)
+
+
+def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation, count: int,
+                        balanced: QuadraticForm | None = None) -> np.ndarray:
     """Sorted oracle spectrum from one assembly and one solve per total-parity block, each
-    handed to oracle_eigenvalues as its own states' triplets."""
-    rows, cols, values, _ = assemble(form, trunc)
+    handed to oracle_eigenvalues as its own states' triplets.
+
+    balanced, the form's Hermitian similar from _hermitian_balance, is assembled in
+    its place when given, and each of its blocks of at most _HERMITIAN_BLOCK_MAX
+    states solved in full.
+    """
+    rows, cols, values, _ = assemble(form if balanced is None else balanced, trunc)
     odd, spectra = trunc.odd_mask(), []
     for mask in (~odd, odd):
-        keep, position = mask[rows], np.cumsum(mask) - 1
-        block = position[rows[keep]], position[cols[keep]], values[keep], int(mask.sum())
-        spectra.append(oracle_eigenvalues(block, count))
+        keep, position, size = mask[rows], np.cumsum(mask) - 1, int(mask.sum())
+        block = position[rows[keep]], position[cols[keep]], values[keep], size
+        full = balanced is not None and size <= _HERMITIAN_BLOCK_MAX
+        spectra.append(oracle_eigenvalues(block, None if full else count))
     return np.sort(np.concatenate(spectra), kind="stable")
 
 
@@ -293,8 +353,9 @@ class OracleReport:
     """Oracle spectrum versus ladder predictions.
 
     eigenvalues is the first run's sorted oracle spectrum: every
-    eigenvalue of a parity block of at most 256 states, only the lowest
-    levels + 1 of a larger block. matched rows are (predicted, observed,
+    eigenvalue of a parity block of at most 256 states (512 where a number
+    scaling makes the form Hermitian), only the lowest levels + 1 of a
+    larger block. matched rows are (predicted, observed,
     |deviation|) for the lowest levels; converged reflects a second run
     at a larger cutoff. For a non-real classification the comparison is
     informational only.
@@ -329,7 +390,11 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
     total-parity blocks separately (the form conserves that parity); a
     block above 256 states is solved for its lowest levels + 1
     eigenvalues only, so the report's eigenvalues then hold just those
-    from it (see oracle_eigenvalues).
+    from it (see oracle_eigenvalues). Where a number scaling makes the form
+    Hermitian (_hermitian_balance, found once for both runs), that similar
+    form is assembled and each block of at most 512 states solved in full
+    by eigvalsh: the same truncated spectrum, which says nothing about
+    reality, so comparable is still the classification's alone.
     """
     if not (_is_integer(levels) and levels >= 1):
         raise ValueError(f"levels must be a positive integer, got {levels!r}")
@@ -340,13 +405,14 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
             f"cannot match {levels} levels from a {trunc.dimension}-state truncation"
         )
     regrown = trunc.grown(20 if trunc.n_modes == 1 else 5)
-    observed = _parity_eigenvalues(form, trunc, levels)
+    balanced = _hermitian_balance(form)
+    observed = _parity_eigenvalues(form, trunc, levels, balanced)
     predicted = predicted_levels(decomp, levels)
     matched = tuple(
         (complex(p), complex(o), float(abs(p - o)))
         for p, o in zip(predicted, observed[:levels])
     )
-    refined = _parity_eigenvalues(form, regrown, levels)
+    refined = _parity_eigenvalues(form, regrown, levels, balanced)
     drift = np.abs(observed[:levels] - refined[:levels])
     converged = bool(np.all(drift < tol / 10.0))
     return OracleReport(

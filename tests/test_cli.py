@@ -247,21 +247,30 @@ class TestSweep:
         assert code == 1 and out == ""
         assert "field 'sweep" in err
 
-    def test_memory_bounded_by_chunk(self, tmp_path):
-        # a 300x300 grid (90,000 points, about 5.5 chunks) held whole peaks near
-        # 130 MB under tracemalloc; one 2**14-point chunk at a time stays far below
+    def test_memory_bounded_by_chunk(self, tmp_path, monkeypatch):
+        # an 80x80 grid is 6400 points, 6.25 chunks of 2**10; under tracemalloc a
+        # chunk costs about 0.7 kB per point, so one chunk at a time stays below
+        # 48 MB scaled from 2**14 points to 2**10, and the grid held whole exceeds it
         config = {"model": "two_mode", "beta": [0.5, 0.0], "sweep": [
-            {"parameter": "gamma", "start": -2.0, "stop": 2.0, "steps": 300},
-            {"parameter": "alpha_re", "start": 0.0, "stop": 1.0, "steps": 300}]}
-        path, out = write_config(tmp_path, config), tmp_path / "grid.csv"
-        tracemalloc.start()
-        try:
-            assert main(["sweep", "--config", path, "--out", str(out)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 48e6, f"peak {peak / 1e6:.1f} MB"
-        assert len(out.read_text(encoding="utf-8").splitlines()) == 3 + 300 * 300
+            {"parameter": "gamma", "start": -2.0, "stop": 2.0, "steps": 80},
+            {"parameter": "alpha_re", "start": 0.0, "stop": 1.0, "steps": 80}]}
+        path = write_config(tmp_path, config)
+
+        def peak(chunk):
+            monkeypatch.setattr(cli, "_SWEEP_CHUNK", chunk)
+            out = tmp_path / f"grid-{chunk}.csv"
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(out.read_text(encoding="utf-8").splitlines()) == 3 + 80 * 80
+            return peak
+
+        bound = 48e6 * 2**10 / 2**14
+        chunked, whole = peak(2**10), peak(80 * 80)
+        assert chunked < bound < whole, f"peaks {chunked / 1e6:.2f} and {whole / 1e6:.2f} MB"
 
     def test_reader_closing_early_is_not_an_error(self, tmp_path):
         # `quadboson sweep | head`: the pipe closes while later chunks are still due
@@ -435,6 +444,7 @@ CUSTOM = {
     "offset": [0.0, 0.0],
 }
 AXIS = {"parameter": "alpha_re", "start": 0.0, "stop": 1.0, "steps": 3}
+OVERFLOWING = {"model": "two_mode", "alpha": [1e308, 0.0], "beta": [0.5, 0.0], "gamma": 1e308}
 BOOLEAN_FIELDS = [
     ("alpha", dict(ONE_MODE, alpha=True)),
     ("beta", dict(ONE_MODE, beta=[0.5, True])),
@@ -494,6 +504,14 @@ REFUSED_SETTINGS = [
     ("transform --s11 1e-320", ["transform", "--s11", "1e-320"], ONE_MODE,
      "s11 = 1e-320 gives a map with a non-finite entry"),
     ("transform --s11 1e-200", ["transform", "--s11", "1e-200"], ONE_MODE,
+     "coefficients and offset must be finite"),
+    # finite settings whose symmetrized form overflows
+    ("analyze overflowing form", ["analyze"], OVERFLOWING,
+     "coefficients and offset must be finite"),
+    ("oracle overflowing form", ["oracle"], OVERFLOWING,
+     "coefficients and offset must be finite"),
+    ("sweep overflowing form", ["sweep"],
+     dict(OVERFLOWING, sweep=[dict(AXIS, parameter="beta_re")]),
      "coefficients and offset must be finite"),
 ]
 

@@ -395,16 +395,25 @@ def oscillators(omega, squeeze, coupling):
     return QuadraticForm(BosonBasis(k), g)
 
 
+def unbalanced_three_mode():
+    """The benchmark's three-mode shape: distinct squeezing ratios, symmetric exchange."""
+    form = oscillators((0.9, 1.0, 1.1), 0.01, 0.02)
+    g = form.coeffs.real.copy()
+    g[3:, 3:] = np.diag([0.002, 0.012, 0.005])
+    return QuadraticForm(BosonBasis(3), g)
+
+
 def counted_dense_solves(monkeypatch):
-    """Shapes of the matrices later passed to np.linalg.eigvals, appended as they come."""
-    shapes = []
+    """(routine, shape, dtype name) of each matrix later passed to np.linalg.eigvals or
+    np.linalg.eigvalsh, appended as they come."""
+    calls = []
+    for name in ("eigvals", "eigvalsh"):
+        def counted(matrix, _name=name, _solve=getattr(np.linalg, name)):
+            calls.append((_name, matrix.shape, matrix.dtype.name))
+            return _solve(matrix)
 
-    def counted(matrix, _solve=np.linalg.eigvals):
-        shapes.append(matrix.shape)
-        return _solve(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
-    return shapes
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def fresh_interpreter(probe):
@@ -507,9 +516,9 @@ class TestArnoldiBlocks:
         assert block[3] == 364
         dense = np.sort_complex(np.linalg.eigvals(fock._dense(*block)))
         assert abs(dense[2] - dense[0]) < 1e-12
-        shapes = counted_dense_solves(monkeypatch)
+        calls = counted_dense_solves(monkeypatch)
         lowest = oracle_eigenvalues(block, 3)
-        assert shapes == []
+        assert calls == []
         assert np.max(np.abs(lowest[:3] - dense[:3])) < 1e-10
 
     def test_small_blocks_leave_sparse_unloaded(self):
@@ -534,22 +543,32 @@ class TestArnoldiBlocks:
         # diagonal, where a pairwise-summed reduction would differ in the last bit
         trunc = FockTruncation(n_modes, cutoff)
         form = seeded_form(rng, n_modes, real)
-        reference = reference_dense(form, trunc)
+        balanced = fock._hermitian_balance(form)
+        # only the real one-mode form here has alpha beta > 0; the oracle solves its balanced form
+        assert (balanced is not None) == (n_modes == 1 and real)
+        reference = reference_dense(form if balanced is None else balanced, trunc)
+        if balanced is not None:
+            # that scatter is D M D^-1 of the original one M, D = r^(a^dag a), r^4 = alpha / beta
+            alpha, beta = form.coeffs[0, 0].real, form.coeffs[1, 1].real
+            d = (alpha / beta) ** (np.arange(cutoff) / 4.0)
+            similar = d[:, None] * reference_dense(form, trunc) / d
+            assert np.max(np.abs(reference - similar)) <= 1e-14 * np.max(np.abs(reference))
         odd = trunc.odd_mask()
         blocks, matrices, solve = [], [], fock.oracle_eigenvalues
         monkeypatch.setattr(fock, "oracle_eigenvalues",
                             lambda block, count: blocks.append(block) or solve(block, count))
         monkeypatch.setattr(fock, "_lowest_by_arnoldi",
                             lambda matrix, k: matrices.append(matrix) or np.zeros(k, complex))
-        fock._parity_eigenvalues(form, trunc, 3)
+        fock._parity_eigenvalues(form, trunc, 3, balanced)
         assert len(blocks) == 2
         large = []
+        threshold = fock._DENSE_BLOCK_MAX if balanced is None else fock._HERMITIAN_BLOCK_MAX
         for mask, block in zip((~odd, odd), blocks):
             expected = reference[np.ix_(mask, mask)]
             assert block[3] == expected.shape[0]
             dense = fock._dense(*block)
             assert dense.dtype == expected.dtype and np.array_equal(dense, expected)
-            if expected.shape[0] > fock._DENSE_BLOCK_MAX:
+            if expected.shape[0] > threshold:
                 large.append(expected)
         # only a block above the threshold is built as CSR, and it holds the same matrix
         assert len(matrices) == len(large)
@@ -578,13 +597,28 @@ class TestArnoldiBlocks:
         assert np.array_equal(oracle_eigenvalues(block, 5), dense)
 
     def test_three_mode_rerun_skips_dense_solves(self, monkeypatch):
-        # the benchmark's three-mode shape: 125 states (63 + 62), re-run at
-        # cutoff 10 with two 500-state blocks
-        form = oscillators((0.9, 1.0, 1.1), 0.01, 0.02)
+        # the benchmark's three-mode shape, unequal squeezing ratios across
+        # exchange couplings, which no number scaling balances: 125 states
+        # (63 + 62), re-run at cutoff 10 with two 500-state blocks
+        form = unbalanced_three_mode()
+        assert fock._hermitian_balance(form) is None
         decomp = decompose(form)
-        shapes = counted_dense_solves(monkeypatch)
+        calls = counted_dense_solves(monkeypatch)
         report = verify_spectrum(form, decomp, 4, FockTruncation(3, 5), tol=1e-4)
-        assert shapes == [(63, 63), (62, 62)]
+        assert calls == [("eigvals", (63, 63), "float64"), ("eigvals", (62, 62), "float64")]
+        assert report.eigenvalues.size == 125
+        assert report.passed
+
+    def test_balanced_three_mode_rerun_is_solved_in_full(self, monkeypatch):
+        # equal squeezing ratios: one r balances every mode and leaves the
+        # exchange couplings alone, so the 500-state re-run blocks are Hermitian
+        form = oscillators((0.9, 1.0, 1.1), 0.01, 0.02)
+        assert fock._hermitian_balance(form) is not None
+        decomp = decompose(form)
+        calls = counted_dense_solves(monkeypatch)
+        report = verify_spectrum(form, decomp, 4, FockTruncation(3, 5), tol=1e-4)
+        assert calls == [("eigvalsh", shape, "float64")
+                         for shape in ((63, 63), (62, 62), (500, 500), (500, 500))]
         assert report.eigenvalues.size == 125
         assert report.passed
 
@@ -601,6 +635,55 @@ class TestArnoldiBlocks:
             tracemalloc.stop()
         assert report.passed
         assert peak < 16 * 2 ** 20
+
+
+def balanceable_form(rng, n_modes, kind):
+    """(form, H): H random and Hermitian in the number basis, H[bar, bar] = conj(H) with bar
+    swapping a_i and a_i^dag, and form its similar D^-1 H D, D = prod r_i^(a_i^dag a_i).
+
+    kind "real" gives real coefficients (alpha beta > 0 in each mode), "complex" complex
+    ones (conj(alpha) / beta > 0), "hermitian" the complex H itself (every r = 1).
+    """
+    bar = np.roll(np.arange(2 * n_modes), n_modes)
+    m = random_symmetric(rng, 2 * n_modes)
+    if kind == "real":
+        m = m.real
+    h = 0.5 * (m + m[np.ix_(bar, bar)].conj())
+    log_r = np.zeros(n_modes) if kind == "hermitian" else rng.uniform(-0.3, 0.3, n_modes)
+    s = np.exp(np.concatenate([-log_r, log_r]))  # D a_i D^-1 = a_i / r_i
+    return QuadraticForm(BosonBasis(n_modes), h / np.outer(s, s), float(rng.normal())), h
+
+
+class TestHermitianBalance:
+    @pytest.mark.parametrize("kind", ["real", "complex", "hermitian"])
+    @pytest.mark.parametrize("n_modes,cutoff", [(1, 12), (2, 6), (3, 4)])
+    def test_balanced_operator_is_hermitian_with_the_same_spectrum(self, rng, n_modes, cutoff,
+                                                                    kind):
+        trunc = FockTruncation(n_modes, cutoff)
+        for _ in range(3):
+            form, hermitian = balanceable_form(rng, n_modes, kind)
+            balanced = fock._hermitian_balance(form)
+            assert balanced is not None
+            assert np.max(np.abs(balanced.coeffs - hermitian)) <= 1e-14 * np.max(np.abs(hermitian))
+            assert balanced.offset == form.offset
+            matrix = fock._dense(*assemble(balanced, trunc))
+            assert np.array_equal(matrix, matrix.conj().T)
+            levels = np.linalg.eigvalsh(matrix)
+            # every r lies in [e^-0.3, e^0.3], so D is conditioned below e^(0.6 K (cutoff - 1))
+            original = np.linalg.eigvals(fock._dense(*assemble(form, trunc)))
+            original = original[np.argsort(original.real)]
+            assert np.max(np.abs(original - levels)) <= 1e-12 * np.max(np.abs(levels))
+
+    @pytest.mark.parametrize("form", [
+        pytest.param(one_mode(OneModeParams(-0.3, 0.5)), id="alpha-beta-negative"),
+        pytest.param(one_mode(OneModeParams(0.0, 0.5)), id="alpha-zero"),
+        pytest.param(QuadraticForm(BosonBasis(1), [[0.3, 0.5], [0.5, 0.5]], offset=0.1j),
+                     id="complex-offset"),
+        pytest.param(one_mode(OneModeParams(0.3, 0.5j)), id="complex-alpha-beta"),
+        pytest.param(unbalanced_three_mode(), id="exchange-across-unequal-ratios"),
+    ])
+    def test_no_balance(self, form):
+        assert fock._hermitian_balance(form) is None
 
 
 class TestPredictedLevels:
@@ -779,19 +862,14 @@ class TestVerifySpectrum:
             assert np.max(dist[rows, cols]) <= 1e-10 * np.max(np.abs(full))
 
     def test_one_real_solve_per_parity_block(self, monkeypatch):
+        # alpha beta > 0: the balanced form's blocks are real symmetric
         form = two_mode(TwoModeParams(0.1, 0.2, 0.3))
         decomp = decompose(form)
-        shapes = []
-
-        def counted(matrix, _solve=np.linalg.eigvals):
-            assert np.isrealobj(matrix)
-            shapes.append(matrix.shape)
-            return _solve(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        calls = counted_dense_solves(monkeypatch)
         # 49 states (25 even, 24 odd), re-run at cutoff 12: 144 states (72 + 72)
         report = verify_spectrum(form, decomp, 3, FockTruncation(2, 7), tol=1e-2)
-        assert shapes == [(25, 25), (24, 24), (72, 72), (72, 72)]
+        assert calls == [("eigvalsh", shape, "float64")
+                         for shape in ((25, 25), (24, 24), (72, 72), (72, 72))]
         assert report.eigenvalues.size == 49
 
 
