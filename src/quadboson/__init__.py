@@ -30,11 +30,9 @@ from .swanson import (
     TwoModeParams,
     bogoliubov_map,
     generator_coeffs,
-    is_pt_symmetric,
     one_mode,
     one_mode_ladders,
     one_mode_lambdas,
-    pt_conjugate,
     two_mode,
     two_mode_ep_locus,
     two_mode_ladders,
@@ -65,7 +63,6 @@ __all__ = [
     "OneModeParams", "TwoModeParams", "one_mode", "one_mode_lambdas",
     "one_mode_ladders", "bogoliubov_map", "generator_coeffs",
     "two_mode", "two_mode_lambdas", "two_mode_ladders", "two_mode_ep_locus",
-    "pt_conjugate", "is_pt_symmetric",
     "FockTruncation", "OracleReport", "AdjointActionReport", "MetricReport",
     "assemble", "oracle_eigenvalues", "predicted_levels",
     "verify_spectrum", "verify_adjoint_action", "verify_metric",

@@ -333,14 +333,17 @@ def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation, count: int,
 def predicted_levels(decomp: SpectralDecomposition, count: int) -> np.ndarray:
     """Lowest `count` energies sum_i frequencies[i] (n_i + 1/2) + offset of the diagonal form.
 
-    Sorted by real part (imaginary tie-break). The modes are merged one at a
-    time, keeping the `count` lowest partial sums with each n_i <= count, so
-    the work is about count^2 per mode instead of a (count + 1)^K table.
+    Sorted by real part (imaginary tie-break); a count that is not a positive
+    integer raises ValueError. The modes are merged one at a time, keeping
+    the `count` lowest partial sums with each n_i <= count, so the work is
+    about count^2 per mode instead of a (count + 1)^K table.
     Addition preserves the (real, imag) order, so every part of a sum among
     the lowest `count` is among the lowest `count` of its own set; only where
     rounding alone makes two real parts tie can the imaginary tie-break keep
     a different one of the tied levels than the full table would.
     """
+    if not (_is_integer(count) and count >= 1):
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     sums = np.zeros(1, dtype=complex)
     for w in decomp.frequencies:
         sums = np.sort((sums[:, None] + w * (np.arange(count + 1) + 0.5)).ravel(),
@@ -442,23 +445,34 @@ def verify_adjoint_action(form: QuadraticForm, trunc: FockTruncation) -> Adjoint
     The commutator identity is exact before truncation, so the residual
     matrix restricted to rows and columns with all mode indices below
     cutoff - 2 must vanish to round-off; the full-matrix residual keeps
-    the truncation-corrupted corner for inspection.
+    the truncation-corrupted corner for inspection. Each residual is
+    composed from index maps as assemble composes H: the runs
+    G[p,q] O_p O_q O_i, -G[p,q] O_i O_p O_q and -h[j,i] O_j (the offset
+    commutes), a repeated position summed. No dense matrix is formed, so
+    memory is O(terms x dimension).
     """
-    ladder = _ladder_maps(trunc)
-    maps = [_product(ladder, [i]) for i in range(2 * trunc.n_modes)]
-    ham = _dense(*assemble(form, trunc))
-    rep = adjoint_rep(form)
+    if form.basis.n_modes != trunc.n_modes:
+        raise ValueError(
+            f"form has {form.basis.n_modes} mode(s) but truncation has {trunc.n_modes}"
+        )
+    g, rep, maps, dim = form.coeffs, adjoint_rep(form), _ladder_maps(trunc), trunc.dimension
     mask = trunc.interior_mask()
     interior, full = [], []
-    for i, (rows, cols, weights) in enumerate(maps):
-        # O_i has one entry per used row and column: ham @ O_i and O_i @ ham are gathers
-        resid = np.zeros(ham.shape, dtype=complex)
-        resid[:, cols] = ham[:, rows] * weights
-        resid[rows, :] -= weights[:, None] * ham[cols, :]
-        for j, (rows_j, cols_j, weights_j) in enumerate(maps):
-            resid[rows_j, cols_j] -= rep[j, i] * weights_j
-        full.append(float(np.max(np.abs(resid))))
-        interior.append(float(np.max(np.abs(resid[np.ix_(mask, mask)]))))
+    for i in range(2 * trunc.n_modes):
+        terms = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]  # typed with no term
+        for p, q in zip(*np.nonzero(g)):
+            for sign, indices in ((1.0, (p, q, i)), (-1.0, (i, p, q))):
+                rows, cols, weights = _product(maps, indices)
+                terms.append((rows, cols, sign * g[p, q] * weights))
+        for j in np.flatnonzero(rep[:, i]):
+            rows, cols, weights = _product(maps, (j,))
+            terms.append((rows, cols, -rep[j, i] * weights))
+        rows, cols, values = (np.concatenate(column) for column in zip(*terms))
+        keys, slot = np.unique(rows * dim + cols, return_inverse=True)
+        sums = np.abs(np.bincount(slot, values.real, keys.size)
+                      + 1j * np.bincount(slot, values.imag, keys.size))
+        full.append(float(np.max(sums, initial=0.0)))
+        interior.append(float(np.max(sums[mask[keys // dim] & mask[keys % dim]], initial=0.0)))
     return AdjointActionReport(tuple(interior), tuple(full))
 
 
@@ -547,8 +561,8 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
         )
     if interior is None:
         interior = trunc.cutoff - 2
-    if not 1 <= interior <= trunc.cutoff:
-        raise ValueError(f"interior must lie in 1..{trunc.cutoff}, got {interior}")
+    if not (_is_integer(interior) and 1 <= interior <= trunc.cutoff):
+        raise ValueError(f"interior must be an integer in 1..{trunc.cutoff}, got {interior!r}")
 
     factor = _metric_factor(cmap, trunc)
     rho = factor @ factor.conj().T

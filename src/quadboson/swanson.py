@@ -226,16 +226,3 @@ def two_mode_ladders(params: TwoModeParams):
 def two_mode_ep_locus(gamma: float) -> tuple[float, float]:
     """Products alpha*beta where each two-mode frequency vanishes."""
     return ((gamma + 1.0) ** 2 / 4.0, (gamma - 1.0) ** 2 / 4.0)
-
-
-def pt_conjugate(form: QuadraticForm) -> QuadraticForm:
-    """Form with conjugated coefficients; parity-time flips (alpha, beta) to conjugates."""
-    return QuadraticForm(form.basis, np.conj(form.coeffs), np.conj(form.offset))
-
-
-def is_pt_symmetric(form: QuadraticForm) -> bool:
-    """True when the form is a fixed point of pt_conjugate (real coefficients)."""
-    mate = pt_conjugate(form)
-    return bool(
-        np.array_equal(form.coeffs, mate.coeffs) and form.offset == mate.offset
-    )

@@ -35,6 +35,7 @@ from quadboson import fock
 from form_helpers import random_symmetric
 
 ROOT_04 = np.sqrt(0.4)
+EPS = np.finfo(float).eps
 
 
 def seeded_form(rng, n_modes, real):
@@ -687,6 +688,12 @@ class TestHermitianBalance:
 
 
 class TestPredictedLevels:
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_count_must_be_a_positive_integer(self, count):
+        decomp = decompose(one_mode(OneModeParams(0.1, 0.2)))
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            predicted_levels(decomp, count)
+
     def test_two_mode_ordering(self):
         decomp = decompose(two_mode(TwoModeParams(0.1, 0.2, 0.3)))
         wp, wm = decomp.frequencies
@@ -915,13 +922,29 @@ class TestVerifyAdjointAction:
             full.append(float(np.max(np.abs(resid))))
             interior.append(float(np.max(np.abs(resid[np.ix_(mask, mask)]))))
         report = verify_adjoint_action(form, trunc)
-        assert report.full_residuals == tuple(full)
-        assert report.interior_residuals == tuple(interior)
+        # the interior is round-off in either summation order, not the same bits
+        np.testing.assert_allclose(report.full_residuals, full, rtol=1e-13)
+        bound = 64 * EPS * np.max(np.abs(form.coeffs)) * trunc.cutoff ** 1.5
+        assert max(interior) < bound and report.max_interior < bound
 
     def test_zero_form_is_exact(self):
         form = QuadraticForm(BosonBasis(1), np.zeros((2, 2)))
         report = verify_adjoint_action(form, FockTruncation(1, 10))
         assert max(report.full_residuals) == 0.0
+
+    def test_mode_mismatch_raises(self):
+        with pytest.raises(ValueError, match="mode"):
+            verify_adjoint_action(one_mode(OneModeParams(0.3, 0.5)), FockTruncation(2, 5))
+
+    def test_memory_stays_small_at_the_cap(self):
+        # 4096 states: one dense complex residual alone would take 256 MiB
+        form = two_mode(TwoModeParams(0.1, 0.2, 0.3))
+        tracemalloc.start()
+        report = verify_adjoint_action(form, FockTruncation(2, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert report.max_interior < 1e-10
+        assert peak < 50e6
 
 
 class TestVerifyMetric:
@@ -1011,3 +1034,10 @@ class TestVerifyMetric:
         cmap = bogoliubov_map(params, 1.0)
         with pytest.raises(ValueError, match="interior"):
             verify_metric(params, cmap, FockTruncation(1, 20), interior=0)
+
+    @pytest.mark.parametrize("interior", [2.5, True, np.float64(3.0), "3"])
+    def test_interior_must_be_an_integer(self, interior):
+        params = OneModeParams(0.1, 0.1)
+        cmap = bogoliubov_map(params, 1.0)
+        with pytest.raises(ValueError, match="interior must be an integer"):
+            verify_metric(params, cmap, FockTruncation(1, 20), interior=interior)

@@ -1,4 +1,5 @@
-"""Property tests of the ladder decomposition over random K-mode forms, K <= 6.
+"""Property tests of the ladder decomposition, and of the adjoint action it rests on, over random
+K-mode forms, K <= 6 (K <= 3 for the adjoint action).
 
 A form is a direct sum of mode groups. Each group is idle (no terms, so it
 adds zero-frequency pairs), a fresh random block, or a copy of the previous
@@ -14,8 +15,8 @@ That is an open defect, not a property these tests could state.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from quadboson import (BosonBasis, QuadraticForm, adjoint_rep, commutator_matrix, decompose,
-                       eigenpairs)
+from quadboson import (BosonBasis, FockTruncation, QuadraticForm, adjoint_rep, commutator_matrix,
+                       decompose, eigenpairs, verify_adjoint_action)
 from form_helpers import ladder_blocks, random_symmetric, reconstruct_form
 
 EPS = np.finfo(float).eps
@@ -74,3 +75,22 @@ def test_ladders_are_canonical(form):
     assert np.max(np.abs(low.T @ u @ high - np.eye(form.basis.n_modes))) < bound
     assert np.max(np.abs(low.T @ u @ low)) < bound
     assert np.max(np.abs(high.T @ u @ high)) < bound
+
+
+@st.composite
+def scaled_forms(draw):
+    """Random K = 1-3 form with max|G| spread over 1e-3 to 1e3."""
+    n_modes = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return QuadraticForm(BosonBasis(n_modes), scale * random_symmetric(rng, 2 * n_modes))
+
+
+@PROPERTY_SETTINGS
+@given(scaled_forms())
+def test_adjoint_action_holds_on_the_interior(form):
+    # [H, O_i] = sum_j h[j,i] O_j is exact before truncation, and the truncated
+    # products are exact on states two levels below the cutoff
+    cutoff = {1: 12, 2: 6, 3: 4}[form.basis.n_modes]
+    report = verify_adjoint_action(form, FockTruncation(form.basis.n_modes, cutoff))
+    assert max(report.interior_residuals) < 64 * EPS * np.max(np.abs(form.coeffs)) * cutoff ** 1.5

@@ -14,11 +14,9 @@ from quadboson import (
     decompose,
     eigenpairs,
     generator_coeffs,
-    is_pt_symmetric,
     one_mode,
     one_mode_ladders,
     one_mode_lambdas,
-    pt_conjugate,
     spectrum,
     transform_form,
     two_mode,
@@ -406,24 +404,7 @@ class TestEpLocus:
         assert two_mode_ep_locus(0.5) == (0.5625, 0.0625)
 
 
-class TestPTConjugate:
-    def test_real_parameters_are_fixed_point(self):
-        form = one_mode(OneModeParams(0.3, 0.5))
-        assert is_pt_symmetric(form)
-
-    def test_complex_alpha_not_fixed(self):
-        form = one_mode(OneModeParams(0.3 + 0.1j, 0.5))
-        mate = pt_conjugate(form)
-        assert not is_pt_symmetric(form)
-        assert abs(mate.coeffs[0, 0] - (0.3 - 0.1j)) < 1e-15
-
-    def test_involution(self, rng):
-        params = random_one_mode(rng)
-        form = one_mode(params)
-        twice = pt_conjugate(pt_conjugate(form))
-        assert np.array_equal(twice.coeffs, form.coeffs)
-        assert twice.offset == form.offset
-
+class TestTwoModeParams:
     def test_gamma_real_validation(self):
         with pytest.raises(ValueError, match="must be real"):
             TwoModeParams(0.1, 0.2, 0.3 + 0.1j)
