@@ -20,7 +20,11 @@ reads, so the reported spectrum then holds just those. A copy of a
 repeated level the iteration missed is looked for by one more Arnoldi
 run for a single value, from an independent start vector with the found
 eigenvectors deflated. Truncation corrupts elements near the cutoff, so
-comparisons use interior blocks and are re-run at a larger cutoff.
+comparisons use interior blocks and are re-run at a larger cutoff. The
+index tables that depend on the truncation alone, the single-operator maps
+and each parity block's states and positions, are built once per
+truncation and kept, read-only, for the 8 most recently used ones (under
+1 MB each at the 4096-state cap).
 
 scipy is imported inside the functions that need it, the Arnoldi solve
 and the metric check, so importing this module, and every dense oracle
@@ -30,6 +34,7 @@ solve, loads numpy only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,17 +125,35 @@ def _cap_error(trunc: FockTruncation, stride: int, what: str) -> ValueError:
     return ValueError(f"{what} exceeds cap {trunc.cap}; {hint}")
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, each marked read-only, as a tuple: a cached table is shared by every caller."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=8)
 def _ladder_maps(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
     """(targets, weights): O_i of (a_1..a_K, a_1^dag..a_K^dag) sends basis state n to
     targets[i, n], or -1 where it leaves the table, with weight weights[i, n]
-    (a|n> = sqrt(n) |n-1>, a^dag|n> = sqrt(n+1) |n+1>)."""
+    (a|n> = sqrt(n) |n-1>, a^dag|n> = sqrt(n+1) |n+1>). Cached per truncation,
+    read-only."""
     occ = trunc.occupations().T
     mode, step = np.tile(np.arange(trunc.n_modes), 2), np.repeat([-1, 1], trunc.n_modes)
     moved = occ[mode] + step[:, None]
     shift = step * trunc.cutoff ** (trunc.n_modes - 1 - mode)  # mode 1 slowest
     inside = (moved >= 0) & (moved < trunc.cutoff)
-    return (np.where(inside, np.arange(trunc.dimension) + shift[:, None], -1),
-            np.sqrt(np.maximum(occ[mode], moved)))
+    return _read_only(np.where(inside, np.arange(trunc.dimension) + shift[:, None], -1),
+                      np.sqrt(np.maximum(occ[mode], moved)))
+
+
+@lru_cache(maxsize=8)
+def _parity_blocks(trunc: FockTruncation) -> tuple:
+    """(mask, position, size) of the even and then the odd total-parity block: which basis
+    states it holds, each state's index within it, and its state count. Cached per
+    truncation, read-only."""
+    odd = trunc.odd_mask()
+    return tuple((*_read_only(mask, np.cumsum(mask) - 1), int(mask.sum())) for mask in (~odd, odd))
 
 
 def _product(maps: tuple, indices) -> tuple:
@@ -321,9 +344,9 @@ def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation, count: int,
     states solved in full.
     """
     rows, cols, values, _ = assemble(form if balanced is None else balanced, trunc)
-    odd, spectra = trunc.odd_mask(), []
-    for mask in (~odd, odd):
-        keep, position, size = mask[rows], np.cumsum(mask) - 1, int(mask.sum())
+    spectra = []
+    for mask, position, size in _parity_blocks(trunc):
+        keep = mask[rows]
         block = position[rows[keep]], position[cols[keep]], values[keep], size
         full = balanced is not None and size <= _HERMITIAN_BLOCK_MAX
         spectra.append(oracle_eigenvalues(block, None if full else count))

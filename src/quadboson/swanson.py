@@ -7,15 +7,12 @@ gamma (a_1 a_2^dag + a_1^dag a_2), which are two one-mode sectors in
 closed-form eigenvalues, ladder operators (one sector solution serves
 both), and (for one mode) an algebraic Bogoliubov-type map that rotates
 the operator into a plain number-operator form, together with the
-generator of the similarity transformation.
-
-scipy is imported inside generator_coeffs, the only function that needs it,
-so importing this module loads numpy only.
+generator of the similarity transformation, whose logarithm is taken in
+closed form, so this module loads numpy only.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +31,6 @@ from .spectral import (
     ExceptionalPointError,
     LadderOperator,
 )
-
-_GENERATOR_SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -152,12 +147,20 @@ def bogoliubov_map(params: OneModeParams, s11: float) -> CanonicalMap:
 
 
 def generator_coeffs(cmap: CanonicalMap) -> QuadraticForm:
-    """Quadratic form of the map generator (coefficients -log(S^t) u / 2).
+    """Quadratic form of the one-mode map generator (coefficients -log(S^t) u / 2).
 
-    The principal logarithm must exist and the coefficients come out symmetric.
+    The principal logarithm is taken in closed form: S^t has unit
+    determinant (for a 2x2 map S u S^t = det(S) u, so require_canonical
+    checks it), hence eigenvalues exp(+/-theta) with cosh(theta) = c =
+    tr(S^t)/2, and log S^t = (theta / sinh theta)(S^t - c I) with sinh theta
+    = sqrt(c - 1) sqrt(c + 1). (S^t - c I) u is symmetric because S^t - c I is
+    traceless, so the coefficients are exactly symmetric. Raises ValueError
+    for a map of more than one mode and where an eigenvalue lies on the
+    closed negative real axis (no principal logarithm).
     """
-    import scipy.linalg as sla
-
+    if cmap.basis.n_modes != 1:
+        raise ValueError("the closed-form generator is defined for one-mode maps")
+    cmap.require_canonical()
     st = cmap.matrix.T
     eig = np.linalg.eigvals(st)
     on_cut = (np.abs(eig.imag) < 1e-14 * np.maximum(1.0, np.abs(eig))) & (eig.real <= 0.0)
@@ -167,17 +170,15 @@ def generator_coeffs(cmap: CanonicalMap) -> QuadraticForm:
             "the principal logarithm is undefined -- rebuild the map with a "
             "different s11 gauge"
         )
-    with warnings.catch_warnings():  # an inaccurate logarithm is refused below
-        warnings.simplefilter("ignore")
-        q_rep = np.asarray(sla.logm(st), dtype=complex)
-    gq = -0.5 * q_rep @ commutator_matrix(cmap.basis)
-    asym = np.max(np.abs(gq - gq.T))
-    if asym > _GENERATOR_SYMMETRY_TOL:
-        raise ValueError(
-            f"recovered generator coefficients are not symmetric (defect {asym:.3e}); "
-            "the map is not canonical to working precision"
-        )
-    return QuadraticForm(cmap.basis, 0.5 * (gq + gq.T), 0.0)
+    c = 0.5 * (st[0, 0] + st[1, 1])
+    half = 0.5 * (st[0, 0] - st[1, 1])
+    theta = np.arccosh(c)
+    # theta / sinh(theta) = 1 - theta^2/6 + 7 theta^4/360 - ..., 0/0 at theta = 0; the
+    # dropped term is below 2e-18 where the series is used
+    scale = (1.0 - theta * theta / 6.0 if abs(theta) < 1e-4
+             else theta / (np.sqrt(c - 1.0) * np.sqrt(c + 1.0)))
+    q_rep = scale * np.array([[half, st[0, 1]], [st[1, 0], -half]])
+    return QuadraticForm(cmap.basis, -0.5 * q_rep @ commutator_matrix(cmap.basis), 0.0)
 
 
 def two_mode(params: TwoModeParams) -> QuadraticForm:

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadboson import ExceptionalPointError, TwoModeParams, cli, decompose, two_mode
+from quadboson import (ExceptionalPointError, OneModeParams, TwoModeParams, bogoliubov_map, cli,
+                       decompose, two_mode)
 from quadboson.cli import main
+from form_helpers import mpmath_generator
 
 DATA = Path(__file__).parent / "data"
 
@@ -424,15 +426,20 @@ class TestTransform:
         assert "[-0.3+0i, 1+0i]" in out and "min metric eigenvalue" in out
 
     @pytest.mark.filterwarnings("error")
-    def test_inaccurate_logarithm_refused_in_one_line(self, tmp_path, capsys):
-        # scipy's logm warns that this map's logarithm is singular and inaccurate;
-        # generator_coeffs refuses that result itself, so its error is the only output
-        path = write_config(tmp_path, ONE_MODE)
-        code = main(["transform", "--config", path, "--s11", "1e-100"])
+    def test_extreme_gauge_generator_matches_mpmath(self, tmp_path, capsys):
+        # scipy's logm lost this generator's accuracy, and it was refused; the
+        # closed-form logarithm keeps it, with no warning
+        code = main(["transform", "--config", write_config(tmp_path, ONE_MODE),
+                     "--s11", "1e-100"])
         out, err = capsys.readouterr()
-        assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: recovered generator coefficients are not symmetric")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        at = lines.index("generator coefficients:")
+        printed = np.array([[complex(z.replace("i", "j")) for z in line.strip(" []").split(", ")]
+                            for line in lines[at + 1:at + 3]])
+        cmap = bogoliubov_map(OneModeParams(0.3, 0.5), 1e-100)
+        expected = mpmath_generator(cmap.matrix.T, digits=300)
+        assert np.max(np.abs(printed - expected)) <= 1e-8 * np.max(np.abs(expected))
 
     def test_missing_config_file(self, capsys):
         assert main(["analyze", "--config", "/nonexistent/cfg.json"]) == 1

@@ -323,6 +323,75 @@ class TestIndexMaps:
         assert dropped > 0
 
 
+TABLES = (fock._ladder_maps, fock._parity_blocks)
+
+
+def leaves(tables):
+    """Every array and size in a cached table, nested tuples walked."""
+    for item in tables:
+        if isinstance(item, tuple):
+            yield from leaves(item)
+        else:
+            yield item
+
+
+class TestTableCache:
+    """The truncation-only index tables, built once per truncation and shared read-only."""
+
+    def test_second_call_shares_read_only_arrays(self):
+        trunc = FockTruncation(2, 5)
+        for table in TABLES:
+            first, second = list(leaves(table(trunc))), list(leaves(table(trunc)))
+            arrays = [(a, b) for a, b in zip(first, second) if isinstance(a, np.ndarray)]
+            assert len(first) == len(second) and arrays
+            for a, b in arrays:
+                assert a is b and not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[0]
+
+    @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4)])
+    def test_cached_tables_equal_fresh_ones(self, n_modes, cutoff):
+        trunc = FockTruncation(n_modes, cutoff)
+        for table in TABLES:
+            cached, fresh = list(leaves(table(trunc))), list(leaves(table.__wrapped__(trunc)))
+            assert len(cached) == len(fresh)
+            for a, b in zip(cached, fresh):
+                assert type(a) is type(b) and np.asarray(a).dtype == np.asarray(b).dtype
+                assert np.array_equal(a, b)
+
+    def test_cold_and_warm_cache_assemble_bit_identical(self, rng):
+        form, trunc = seeded_form(rng, 2, False), FockTruncation(2, 7)
+        runs = []
+        for clear in (True, False):
+            if clear:
+                for table in TABLES:
+                    table.cache_clear()
+            runs.append(assemble(form, trunc)[:3] + (fock._parity_eigenvalues(form, trunc, 4),))
+        for cold, warm in zip(*runs):
+            assert cold.dtype == warm.dtype and cold.tobytes() == warm.tobytes()
+
+    def test_cache_retains_under_8_mb_at_the_cap(self):
+        # 9 truncations of 3000 to 4096 states, K = 1 to 6: the first is evicted
+        truncs = [FockTruncation(k, c) for k, c in
+                  [(1, 4096), (1, 4000), (2, 64), (2, 63), (3, 16), (3, 15), (4, 8), (5, 5), (6, 4)]]
+        for table in TABLES:
+            table.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for trunc in truncs:
+                for table in TABLES:
+                    table(trunc)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        info = [table.cache_info() for table in TABLES]
+        for table in TABLES:
+            table.cache_clear()
+        assert all(i.maxsize == i.currsize == 8 for i in info)
+        assert retained < 8e6
+
+
 class TestOracleEigenvalues:
     def test_diagonal_matrix(self):
         values = oracle_eigenvalues(triplets(np.diag([3.0, 1.0, 2.0])))
@@ -429,9 +498,10 @@ def fresh_interpreter(probe):
 
 class TestScipyImports:
     def test_numpy_only_paths_leave_scipy_unloaded(self):
-        # scipy is imported only inside the oracle's Arnoldi solve, the metric
-        # check and the map generator; importing it costs about as much as the
-        # rest of `import quadboson`, and the spectral and sweep paths need none of it
+        # scipy is imported only inside the oracle's Arnoldi solve and the metric
+        # check; importing it costs about as much as the rest of `import quadboson`,
+        # and the spectral, sweep and generator paths (transform without --oracle)
+        # need none of it
         data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
         configs = [os.path.join(data, f"sweep_{model}.json") for model in ("one_mode", "two_mode")]
         probe = (
@@ -443,12 +513,14 @@ class TestScipyImports:
             "qb.decompose(form), qb.detect_ep(qb.adjoint_rep(form))\n"
             "qb.classify_reality(qb.adjoint_rep(form))\n"
             "qb.transform_form(qb.one_mode(params), qb.bogoliubov_map(params, 1.0))\n"
+            "qb.generator_coeffs(qb.bogoliubov_map(params, 1.0))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [cli.main([command, '--config', path]) for path in {configs!r}\n"
             "             for command in ('analyze', 'sweep')]\n"
+            f"    codes.append(cli.main(['transform', '--config', {configs[0]!r}]))\n"
             "print(codes, [name for name in sys.modules if name.split('.')[0] == 'scipy'])"
         )
-        assert fresh_interpreter(probe) == "[0, 0, 0, 0] []"
+        assert fresh_interpreter(probe) == "[0, 0, 0, 0, 0] []"
 
 
 def parity_blocks(form, trunc):

@@ -24,7 +24,9 @@ from quadboson import (
     two_mode_ladders,
     two_mode_lambdas,
     CanonicalMap,
+    NonCanonicalMapError,
 )
+from form_helpers import mpmath_generator
 
 ROOT_04 = 0.6324555320336759  # sqrt(0.4)
 
@@ -234,6 +236,58 @@ class TestGenerator:
         assert cmap.defect() < 1e-15
         with pytest.raises(ValueError, match="s11 gauge"):
             adjoint_rep(generator_coeffs(cmap))
+
+    def test_two_mode_map_refused(self):
+        with pytest.raises(ValueError, match="one-mode"):
+            generator_coeffs(CanonicalMap(np.eye(4)))
+
+    def test_non_unit_determinant_refused(self):
+        # for a 2x2 map S u S^t = det(S) u, so the canonical check is the determinant's
+        with pytest.raises(NonCanonicalMapError):
+            generator_coeffs(CanonicalMap(2.0 * np.eye(2)))
+
+
+def relative_gap(cmap, expected):
+    return np.max(np.abs(generator_coeffs(cmap).coeffs - expected)) / np.max(np.abs(expected))
+
+
+class TestGeneratorClosedForm:
+    """generator_coeffs against mpmath logarithms of at least 100 digits."""
+
+    def test_random_maps(self, rng):
+        # by mpmath's eigendecomposition: 200 calls of mpmath.logm take about 16 s
+        gaps = []
+        while len(gaps) < 200:
+            try:
+                cmap = bogoliubov_map(random_one_mode(rng), np.exp(rng.uniform(-3.0, 3.0)))
+                generator_coeffs(cmap)
+            except (ExceptionalPointError, ValueError):  # negative-axis disc or eigenvalue
+                continue
+            gaps.append(relative_gap(cmap, mpmath_generator(cmap.matrix.T, diagonalize=True)))
+        assert max(gaps) <= 1e-13
+
+    @pytest.mark.parametrize("s11", [1e-150, 1e-20, 1e20, 1e150])
+    def test_extreme_gauges(self, s11):
+        # scipy's logm lost every digit from s11 = 1e-20 down; the map's entries
+        # span s11^2, so the reference needs about 2 |log10 s11| more digits
+        cmap = bogoliubov_map(OneModeParams(0.3, 0.5), s11)
+        digits = 100 + 2 * round(abs(np.log10(s11)))
+        assert relative_gap(cmap, mpmath_generator(cmap.matrix.T, digits)) <= 1e-13
+
+    def test_parabolic(self):
+        for t in (1e-8, 0.7, 50.0):  # theta = 0: the series branch
+            cmap = CanonicalMap(np.array([[1.0, t], [0.0, 1.0]]))
+            assert relative_gap(cmap, mpmath_generator(cmap.matrix.T)) <= 1e-13
+
+    def test_elliptic_near_minus_identity(self):
+        # a float rotation's determinant is 1 only to round-off, which moves the
+        # logarithm by about eps / (1 + cos phi); the second map is exactly unimodular
+        phi, eps = 3.1, 2.0 ** -20
+        rotation = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
+        for matrix in (rotation, np.array([[-1.0, 1.0], [-eps, -1.0 + eps]])):
+            cmap = CanonicalMap(matrix)
+            expected = mpmath_generator(cmap.matrix.T, diagonalize=True)
+            assert relative_gap(cmap, expected) <= 1e-13
 
 
 class TestTwoMode:
