@@ -9,10 +9,17 @@ construction. Every quadratic term changes the total boson number by 0 or
 +/-2, so the operator is block-diagonal in total-number parity and the
 oracle cuts the two blocks' triplets apart and solves each, in real
 arithmetic when the form is real. Where a number scaling makes the form
-Hermitian (_hermitian_balance), that similar form is solved instead, each
-block of at most _HERMITIAN_BLOCK_MAX (512) states in full by eigvalsh; the
-untruncated spectrum need not be real for that. oracle_eigenvalues picks the solve:
-a block of at most _DENSE_BLOCK_MAX (256) states is scattered densely and
+Hermitian (_hermitian_balance), that similar form is solved instead; the
+untruncated spectrum need not be real for that. Where swapping two modes
+leaves the form unchanged (_mode_exchange), a parity block is split
+further into that exchange's even and odd sectors, folded from the same
+triplets, and the sectors are solved in full in place of the block, where
+each fits a full solve (at most _HERMITIAN_BLOCK_MAX, 512, states for a
+balanced form, _DENSE_BLOCK_MAX, 256, otherwise) and the block itself
+does too or the form is balanced and real; the size limits below then
+apply to those sectors. A balanced block or sector of at most 512 states
+is solved in full by eigvalsh. Otherwise oracle_eigenvalues
+picks the solve: a block of at most 256 states is scattered densely and
 diagonalized in full, by eigvalsh when it equals its conjugate transpose
 exactly; a larger one is built as CSR and solved by Arnoldi
 iteration for only the lowest levels + 1 eigenvalues a spectrum check
@@ -21,10 +28,11 @@ repeated level the iteration missed is looked for by one more Arnoldi
 run for a single value, from an independent start vector with the found
 eigenvectors deflated. Truncation corrupts elements near the cutoff, so
 comparisons use interior blocks and are re-run at a larger cutoff. The
-index tables that depend on the truncation alone, the single-operator maps
-and each parity block's states and positions, are built once per
-truncation and kept, read-only, for the 8 most recently used ones (under
-1 MB each at the 4096-state cap).
+index tables that depend on the truncation alone, the single-operator maps,
+each parity block's states and positions and each exchange sector's slots
+and coefficients, are built once per truncation (and transposition) and
+kept, read-only, for the 8 most recently used ones (under 1 MB each at
+the 4096-state cap).
 
 scipy is imported inside the functions that need it, the Arnoldi solve
 and the metric check, so importing this module, and every dense oracle
@@ -45,7 +53,8 @@ from .swanson import OneModeParams, one_mode
 DEFAULT_DIMENSION_CAP = 4096
 SPECTRUM_TOL = 1e-6
 _METRIC_REAL_TOL = 1e-9
-# Largest parity block solved densely when only its lowest levels are wanted.
+# Largest parity block (or exchange sector) solved densely when only its lowest
+# levels are wanted.
 # Odd blocks, best of 15 in each of two runs, one BLAS thread, dense eigvals
 # against Arnoldi with its repeated-level check (ms): two-mode 200 states 11 /
 # 11-18, 242 states 16-17 / 12-14, 312 states 28 / 16; three-mode 256 states 20 /
@@ -53,7 +62,8 @@ _METRIC_REAL_TOL = 1e-9
 # states. The strongly non-normal one-mode block at (0.3, 0.5) crosses later:
 # 260 states 33 / 36, 300 states 37-49 / 43-65, 400 states 80 / 53.
 _DENSE_BLOCK_MAX = 256
-# Largest parity block of a balanced form (_hermitian_balance) solved in full.
+# Largest parity block (or exchange sector) of a balanced form (_hermitian_balance)
+# solved in full.
 # Best of 15, one BLAS thread, eigvalsh against Arnoldi (ms), two-mode
 # (0.1, 0.2, 0.3): 313 states 8.2 / 23-26, 512 states 17-18 / 21, 613 states
 # 29-39 / 22-26; one-mode (0.3, 0.5), 300 states: 4.6-4.8 / 34-42.
@@ -154,6 +164,49 @@ def _parity_blocks(trunc: FockTruncation) -> tuple:
     truncation, read-only."""
     odd = trunc.odd_mask()
     return tuple((*_read_only(mask, np.cumsum(mask) - 1), int(mask.sum())) for mask in (~odd, odd))
+
+
+@lru_cache(maxsize=8)
+def _sector_blocks(trunc: FockTruncation, perm: tuple) -> tuple:
+    """For each parity block of _parity_blocks, (slot, coef, size) of the even (+) and then
+    the odd (-) sector of the mode transposition P, perm the mode order it makes.
+
+    A sector is spanned by (|n> +/- P|n>) / sqrt 2 over the orbit representatives n,
+    the lower state of each pair, and by |n> alone where P|n> = |n> (+ sector only).
+    slot gives each basis state its representative's index in the sector, or -1 where
+    the state is not in it, coef its coefficient in that vector; size counts the
+    representatives. Cached per truncation and transposition, read-only.
+    """
+    index = np.arange(trunc.dimension)
+    image = trunc.occupations()[:, list(perm)] @ trunc.cutoff ** np.arange(trunc.n_modes)[::-1]
+    fixed, lead = index == image, index <= image
+    half = np.sqrt(0.5)
+    plus = np.where(fixed, 1.0, half)
+    minus = np.where(lead, half, -half)
+    sectors = []
+    for mask, _, _ in _parity_blocks(trunc):
+        pair = []
+        for member, coef in ((mask, plus), (mask & ~fixed, minus)):
+            heads = member & lead
+            slot = np.where(member, (np.cumsum(heads) - 1)[np.minimum(index, image)], -1)
+            pair.append((*_read_only(slot), coef, int(heads.sum())))
+        sectors.append(tuple(pair))
+    _read_only(plus, minus)
+    return tuple(sectors)
+
+
+def _mode_exchange(form: QuadraticForm) -> tuple | None:
+    """The mode order of the first transposition P with G[P, P] == G exactly, P acting on
+    both halves of the basis, or None. Only the K(K-1)/2 transpositions are tried."""
+    k, g = form.basis.n_modes, form.coeffs
+    for i in range(k):
+        for j in range(i + 1, k):
+            perm = list(range(k))
+            perm[i], perm[j] = j, i
+            index = perm + [p + k for p in perm]
+            if np.array_equal(g[np.ix_(index, index)], g):
+                return tuple(perm)
+    return None
 
 
 def _product(maps: tuple, indices) -> tuple:
@@ -295,7 +348,7 @@ def _lowest_by_arnoldi(matrix, k: int) -> np.ndarray | None:
     return values - lift
 
 
-def _hermitian_balance(form: QuadraticForm) -> QuadraticForm | None:
+def _hermitian_balance(form: QuadraticForm, perm: tuple | None = None) -> QuadraticForm | None:
     """The form of D H D^-1, Hermitian in the number basis, or None where no such D is found.
 
     D = prod_i r_i^(a_i^dag a_i) scales G[p,q] by s_p s_q, s = (1/r_1..1/r_K,
@@ -309,7 +362,10 @@ def _hermitian_balance(form: QuadraticForm) -> QuadraticForm | None:
     _BALANCE_TOL or the offset is complex. Averaging with the bar-conjugate
     makes the result exactly Hermitian and, by Bauer-Fike, moves eigenvalues
     by about _BALANCE_TOL ||H||. The untruncated operator need not have a real
-    spectrum: for alpha beta > 1/4 it is unbounded below.
+    spectrum: for alpha beta > 1/4 it is unbounded below. perm, a mode transposition
+    that leaves G unchanged (_mode_exchange), leaves the result unchanged exactly too:
+    x is averaged over its orbits, where least squares can set the two modes' scales
+    apart in the last bit.
     """
     k, g = form.basis.n_modes, form.coeffs
     bar = np.roll(np.arange(2 * k), k)
@@ -324,6 +380,8 @@ def _hermitian_balance(form: QuadraticForm) -> QuadraticForm | None:
     steps = 2.0 * np.vstack([np.eye(k), -np.eye(k)])
     system = steps[p] + steps[q]
     x = np.linalg.lstsq(system, logs.real, rcond=None)[0]
+    if perm is not None:
+        x = 0.5 * (x + x[list(perm)])
     misfit = np.max(np.abs(system @ x - logs), initial=0.0)
     if not misfit <= _BALANCE_TOL * max(1.0, np.max(np.abs(logs), initial=0.0)):
         return None
@@ -334,21 +392,59 @@ def _hermitian_balance(form: QuadraticForm) -> QuadraticForm | None:
                          form.offset)
 
 
+def _sector(rows, cols, values, sector: tuple, hermitian: bool) -> tuple:
+    """COO triplets of one exchange sector (_sector_blocks) folded from the full operator's:
+    each state's position becomes its representative's slot, each value is multiplied by
+    the two states' coefficients. hermitian keeps the upper triangle and its mirror image,
+    so that the block of a Hermitian operator is Hermitian bit for bit, whatever order
+    the folded entries of a position sum in."""
+    slot, coef, size = sector
+    keep = (slot[rows] >= 0) & (slot[cols] >= 0)
+    rows, cols = rows[keep], cols[keep]
+    i, j, v = slot[rows], slot[cols], values[keep] * (coef[rows] * coef[cols])
+    if hermitian:
+        upper, strict = i <= j, i < j
+        i, j, v = (np.concatenate([i[upper], j[strict]]), np.concatenate([j[upper], i[strict]]),
+                   np.concatenate([v[upper], v[strict].conj()]))
+    return i, j, v, size
+
+
 def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation, count: int,
-                        balanced: QuadraticForm | None = None) -> np.ndarray:
-    """Sorted oracle spectrum from one assembly and one solve per total-parity block, each
-    handed to oracle_eigenvalues as its own states' triplets.
+                        balanced: QuadraticForm | None = None,
+                        perm: tuple | None = None) -> np.ndarray:
+    """Sorted oracle spectrum from one assembly and one solve per total-parity block (or per
+    exchange sector, below), each handed to oracle_eigenvalues as its own triplets.
 
     balanced, the form's Hermitian similar from _hermitian_balance, is assembled in
     its place when given, and each of its blocks of at most _HERMITIAN_BLOCK_MAX
-    states solved in full.
+    states solved in full. perm, a mode transposition that leaves the assembled form
+    unchanged (_mode_exchange), splits a block into its two exchange sectors
+    (_sector_blocks), each then solved in full in place of one solve of the block,
+    where each sector holds at most _HERMITIAN_BLOCK_MAX states for a balanced form,
+    _DENSE_BLOCK_MAX otherwise, and the block itself is no larger or the form is
+    balanced and real. Per run, best of 9, one BLAS thread, two-mode blocks solved
+    whole against split (ms): balanced (0.1, 0.2, 0.3), 613 states 46 / 27, 800
+    states 54 / 46; where Arnoldi would take the block otherwise: (-0.1, 0.2, 0.3),
+    450 states 45 / 70; (0.1i, 0.2i, 0.3), 450 states 66 / 179; balanced
+    (0.1+0.05i, 0.2-0.1i, 0.3), 800 states 85 / 122.
     """
     rows, cols, values, _ = assemble(form if balanced is None else balanced, trunc)
+    limit = _DENSE_BLOCK_MAX if balanced is None else _HERMITIAN_BLOCK_MAX
+    hermitian = balanced is not None
+    # a block above the limit, which Arnoldi would solve, is split only where its sectors
+    # go to real eigvalsh; dense eigvals or complex eigvalsh of its sectors cost more
+    split_large = hermitian and values.dtype.kind == "f"
+    sectors = (None, None) if perm is None else _sector_blocks(trunc, perm)
     spectra = []
-    for mask, position, size in _parity_blocks(trunc):
+    for (mask, position, size), split in zip(_parity_blocks(trunc), sectors):
+        if (split is not None and max(sector[2] for sector in split) <= limit
+                and (size <= limit or split_large)):
+            spectra += [oracle_eigenvalues(_sector(rows, cols, values, sector, hermitian))
+                        for sector in split if sector[2]]
+            continue
         keep = mask[rows]
         block = position[rows[keep]], position[cols[keep]], values[keep], size
-        full = balanced is not None and size <= _HERMITIAN_BLOCK_MAX
+        full = hermitian and size <= _HERMITIAN_BLOCK_MAX
         spectra.append(oracle_eigenvalues(block, None if full else count))
     return np.sort(np.concatenate(spectra), kind="stable")
 
@@ -381,7 +477,10 @@ class OracleReport:
     eigenvalues is the first run's sorted oracle spectrum: every
     eigenvalue of a parity block of at most 256 states (512 where a number
     scaling makes the form Hermitian), only the lowest levels + 1 of a
-    larger block. matched rows are (predicted, observed,
+    larger block. Where swapping two modes leaves the form unchanged, a
+    block split into its two exchange sectors gives every eigenvalue
+    (see verify_spectrum; the real two-mode model at nmax 40: all 1600
+    levels). matched rows are (predicted, observed,
     |deviation|) for the lowest levels; converged reflects a second run
     at a larger cutoff. For a non-real classification the comparison is
     informational only.
@@ -420,7 +519,12 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
     Hermitian (_hermitian_balance, found once for both runs), that similar
     form is assembled and each block of at most 512 states solved in full
     by eigvalsh: the same truncated spectrum, which says nothing about
-    reality, so comparable is still the classification's alone.
+    reality, so comparable is still the classification's alone. Where a
+    transposition of two modes leaves the form unchanged (_mode_exchange,
+    also found once for both runs), a block is solved as its even and odd
+    exchange sectors, each in full, where each sector holds at most 512
+    states (balanced) or 256 (otherwise) and the block itself does too or
+    the balanced form is real: those limits then apply to the sectors.
     """
     if not (_is_integer(levels) and levels >= 1):
         raise ValueError(f"levels must be a positive integer, got {levels!r}")
@@ -431,14 +535,15 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
             f"cannot match {levels} levels from a {trunc.dimension}-state truncation"
         )
     regrown = trunc.grown(20 if trunc.n_modes == 1 else 5)
-    balanced = _hermitian_balance(form)
-    observed = _parity_eigenvalues(form, trunc, levels, balanced)
+    perm = _mode_exchange(form)
+    balanced = _hermitian_balance(form, perm)
+    observed = _parity_eigenvalues(form, trunc, levels, balanced, perm)
     predicted = predicted_levels(decomp, levels)
     matched = tuple(
         (complex(p), complex(o), float(abs(p - o)))
         for p, o in zip(predicted, observed[:levels])
     )
-    refined = _parity_eigenvalues(form, regrown, levels, balanced)
+    refined = _parity_eigenvalues(form, regrown, levels, balanced, perm)
     drift = np.abs(observed[:levels] - refined[:levels])
     converged = bool(np.all(drift < tol / 10.0))
     return OracleReport(

@@ -353,6 +353,22 @@ class TestOracle:
         assert code == 1
         assert err.rstrip().endswith("is 59")
 
+    def test_two_mode_config_solves_every_block_by_exchange_sectors(self, monkeypatch, capsys):
+        # the checked-in config CI runs: nmax 30 (450 + 450 states) and its re-run at 35
+        # (613 + 612) split into sectors of at most 512 states, each solved in full: even
+        # blocks hold the cutoff fixed states |n,n>, (450 - 30) / 2 = 210 pairs at nmax 30
+        from quadboson import fock
+
+        solved, solve = [], fock.oracle_eigenvalues
+        monkeypatch.setattr(fock, "oracle_eigenvalues",
+                            lambda block, count=None: solved.append((block[3], count))
+                            or solve(block, count))
+        code = main(["oracle", "--config", str(DATA / "oracle_two_mode.json")])
+        out = capsys.readouterr().out
+        assert code == 0 and out.rstrip().endswith("result: pass")
+        assert [size for size, _ in solved] == [240, 210, 225, 225, 324, 289, 306, 306]
+        assert all(count is None for _, count in solved)
+
     def test_cli_overrides(self, tmp_path, capsys):
         config = dict(ONE_MODE, oracle={"nmax": 40, "levels": 5, "tol": 1e-6})
         code = main([

@@ -759,6 +759,134 @@ class TestHermitianBalance:
         assert fock._hermitian_balance(form) is None
 
 
+def exchanged(coeffs, perm):
+    """coeffs with the modes reordered by perm on both halves of the basis."""
+    k = len(perm)
+    index = np.concatenate([perm, np.asarray(perm) + k])
+    return coeffs[np.ix_(index, index)]
+
+
+def cyclic_three_mode():
+    """Three identical modes coupled around a ring, a_i a_(i+1)^dag and its reverse
+    weighted apart: unchanged by the cyclic shift, by no transposition."""
+    g = np.zeros((6, 6))
+    for i in range(3):
+        g[i, i + 3] = g[i + 3, i] = 0.5
+        j = (i + 1) % 3
+        g[i, j + 3] = g[j + 3, i] = 0.03   # a_i a_j^dag
+        g[j, i + 3] = g[i + 3, j] = 0.01   # a_j a_i^dag
+    return QuadraticForm(BosonBasis(3), g)
+
+
+def sector_vectors(trunc, perm, parity, sign):
+    """The sector's basis vectors as dense columns, from _sector_blocks' slot and coef."""
+    slot, coef, size = fock._sector_blocks(trunc, perm)[parity][sign]
+    vectors = np.zeros((trunc.dimension, size))
+    member = np.flatnonzero(slot >= 0)
+    vectors[member, slot[member]] = coef[member]
+    return vectors
+
+
+class TestModeExchange:
+    @pytest.mark.parametrize("form,perm", [
+        pytest.param(two_mode(TwoModeParams(0.1, 0.2, 0.3)), (1, 0), id="two-mode"),
+        pytest.param(oscillators((1.0, 0.8, 0.8), 0.01, 0.02), (0, 2, 1), id="modes-2-3"),
+        pytest.param(oscillators((1.0, 1.0, 1.0), 0.01, 0.02), (1, 0, 2), id="first-of-three"),
+        pytest.param(one_mode(OneModeParams(0.3, 0.5)), None, id="one-mode"),
+        pytest.param(oscillators((0.9, 1.1), 0.01, 0.02), None, id="distinct-frequencies"),
+        pytest.param(unbalanced_three_mode(), None, id="distinct-squeezing"),
+        pytest.param(cyclic_three_mode(), None, id="cyclic-only"),
+    ])
+    def test_finds_the_first_exact_transposition(self, form, perm):
+        assert fock._mode_exchange(form) == perm
+        if perm is not None:
+            assert np.array_equal(exchanged(form.coeffs, perm), form.coeffs)
+
+    def test_cyclic_form_is_unchanged_by_the_shift(self):
+        form = cyclic_three_mode()
+        assert np.array_equal(exchanged(form.coeffs, (1, 2, 0)), form.coeffs)
+
+    def test_balanced_form_keeps_the_exchange_exactly(self):
+        # bench-like two-mode points: least squares alone sets the two modes' scales
+        # apart in the last bit at some of them, which breaks the symmetry
+        lost = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            form = two_mode(TwoModeParams(*rng.uniform(0.0, 0.25, 2), rng.uniform(-0.3, 0.3)))
+            perm = fock._mode_exchange(form)
+            balanced = fock._hermitian_balance(form, perm)
+            assert np.array_equal(exchanged(balanced.coeffs, perm), balanced.coeffs)
+            plain = fock._hermitian_balance(form).coeffs
+            lost += not np.array_equal(exchanged(plain, perm), plain)
+            assert np.max(np.abs(plain - balanced.coeffs)) <= 1e-14 * np.max(np.abs(plain))
+        assert lost > 0
+
+    @pytest.mark.parametrize("n_modes,cutoff,perm", [
+        (2, 2, (1, 0)), (2, 7, (1, 0)), (3, 4, (0, 2, 1)), (3, 5, (2, 1, 0)),
+    ])
+    def test_sectors_split_each_parity_block_orthogonally(self, n_modes, cutoff, perm):
+        # [V+ V-] is an orthogonal basis of the parity block, V+ even and V- odd under P
+        trunc = FockTruncation(n_modes, cutoff)
+        occ = trunc.occupations()
+        swap = np.zeros((trunc.dimension,) * 2)
+        swap[np.ravel_multi_index(occ[:, list(perm)].T, (cutoff,) * n_modes),
+             np.arange(trunc.dimension)] = 1.0
+        for parity, (mask, _, size) in enumerate(fock._parity_blocks(trunc)):
+            plus, minus = (sector_vectors(trunc, perm, parity, sign) for sign in (0, 1))
+            basis = np.hstack([plus, minus])
+            assert basis.shape == (trunc.dimension, size)
+            assert not np.any(basis[~mask])
+            assert np.allclose(basis.T @ basis, np.eye(size), rtol=0, atol=1e-15)
+            assert np.array_equal(swap @ plus, plus) and np.array_equal(swap @ minus, -minus)
+
+    def test_hermitian_fold_is_exact_whatever_the_entry_order(self):
+        # cutoff 2: the even + sector holds the fixed states |0,0> and |1,1>; the entries of
+        # a Hermitian operator at (0, 3) and (3, 0) come in opposite orders, and
+        # (1 + 1) + 3e-16 rounds up where (3e-16 + 1) + 1 rounds to even
+        trunc, small = FockTruncation(2, 2), 3e-16
+        rows, cols = np.array([0, 0, 0, 3, 3, 3]), np.array([3, 3, 3, 0, 0, 0])
+        values = np.array([1.0, 1.0, small, small, 1.0, 1.0])
+        sector = fock._sector_blocks(trunc, (1, 0))[0][0]
+        assert sector[2] == 2
+        unmirrored = fock._dense(*fock._sector(rows, cols, values, sector, False))
+        assert unmirrored[0, 1] != unmirrored[1, 0]
+        folded = fock._dense(*fock._sector(rows, cols, values, sector, True))
+        assert np.array_equal(folded, folded.T) and folded[0, 1] == unmirrored[0, 1]
+
+    def test_sector_tables_cached_and_read_only(self):
+        trunc = FockTruncation(2, 6)
+        first, second = fock._sector_blocks(trunc, (1, 0)), fock._sector_blocks(trunc, (1, 0))
+        fresh = fock._sector_blocks.__wrapped__(trunc, (1, 0))
+        arrays = [(a, b, c) for a, b, c in zip(leaves(first), leaves(second), leaves(fresh))
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) == 8
+        for a, b, c in arrays:
+            assert a is b and not a.flags.writeable and np.array_equal(a, c)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
+    def test_sector_cache_retains_under_2_mb_at_the_cap(self):
+        # 9 truncations of 3000 to 4096 states, K = 2 to 6: the first is evicted; the
+        # parity tables each one reads are built outside the count
+        truncs = [FockTruncation(k, c) for k, c in
+                  [(2, 64), (2, 63), (3, 16), (3, 15), (4, 8), (5, 5), (6, 4), (2, 62), (3, 14)]]
+        fock._sector_blocks.cache_clear()
+        retained = 0
+        tracemalloc.start()
+        try:
+            for trunc in truncs:
+                fock._parity_blocks(trunc)
+                before = tracemalloc.get_traced_memory()[0]
+                fock._sector_blocks(trunc, (1, 0) + tuple(range(2, trunc.n_modes)))
+                retained += tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        info = fock._sector_blocks.cache_info()
+        fock._sector_blocks.cache_clear()
+        assert info.maxsize == info.currsize == 8
+        assert retained < 2e6
+
+
 class TestPredictedLevels:
     @pytest.mark.parametrize("count", [0, -1, 2.5, True])
     def test_count_must_be_a_positive_integer(self, count):
@@ -940,16 +1068,45 @@ class TestVerifySpectrum:
             rows, cols = linear_sum_assignment(dist)
             assert np.max(dist[rows, cols]) <= 1e-10 * np.max(np.abs(full))
 
-    def test_one_real_solve_per_parity_block(self, monkeypatch):
-        # alpha beta > 0: the balanced form's blocks are real symmetric
+    def test_one_real_solve_per_exchange_sector(self, monkeypatch):
+        # alpha beta > 0: the balanced form's blocks are real symmetric, and swapping the
+        # two modes leaves it unchanged; each parity block splits into the + and - sectors
         form = two_mode(TwoModeParams(0.1, 0.2, 0.3))
+        assert fock._mode_exchange(form) == (1, 0)
         decomp = decompose(form)
         calls = counted_dense_solves(monkeypatch)
-        # 49 states (25 even, 24 odd), re-run at cutoff 12: 144 states (72 + 72)
+        # 49 states: even 25 = 7 fixed |n,n> + 9 pairs (16 + 9), odd 24 = 12 pairs (12 + 12);
+        # re-run at cutoff 12, 144 states: even 72 = 12 + 30 pairs (42 + 30), odd 36 + 36
         report = verify_spectrum(form, decomp, 3, FockTruncation(2, 7), tol=1e-2)
-        assert calls == [("eigvalsh", shape, "float64")
-                         for shape in ((25, 25), (24, 24), (72, 72), (72, 72))]
+        assert calls == [("eigvalsh", (n, n), "float64")
+                         for n in (16, 9, 12, 12, 42, 30, 36, 36)]
         assert report.eigenvalues.size == 49
+
+    @pytest.mark.parametrize("form,levels,trunc,tol,solves", [
+        # balanced: 25 + 24 states, re-run 72 + 72, each block by eigvalsh
+        pytest.param(oscillators((0.9, 1.1), 0.01, 0.02), 3, FockTruncation(2, 7), 1e-2,
+                     [("eigvalsh", (n, n), "float64") for n in (25, 24, 72, 72)],
+                     id="two-mode-balanced"),
+        # 63 + 62 states by eigvals, the 500-state re-run blocks by Arnoldi
+        pytest.param(unbalanced_three_mode(), 4, FockTruncation(3, 5), 1e-4,
+                     [("eigvals", (n, n), "float64") for n in (63, 62)],
+                     id="three-mode-unbalanced"),
+    ])
+    def test_no_exchange_symmetry_takes_the_unsplit_path(self, monkeypatch, form, levels, trunc,
+                                                         tol, solves):
+        # distinct mode frequencies: no transposition leaves the form unchanged, so the
+        # spectrum and the solves are those of one solve per parity block, bit for bit
+        assert fock._mode_exchange(form) is None
+        balanced = fock._hermitian_balance(form)
+        calls = counted_dense_solves(monkeypatch)
+        unsplit = fock._parity_eigenvalues(form, trunc, levels, balanced)
+        fock._parity_eigenvalues(form, trunc.grown(5), levels, balanced)
+        assert calls == solves
+        calls.clear()
+        report = verify_spectrum(form, decompose(form), levels, trunc, tol=tol)
+        assert np.array_equal(report.eigenvalues, unsplit)
+        assert calls == solves
+        assert report.passed
 
 
 class TestVerifyAdjointAction:

@@ -1,5 +1,6 @@
 """Property tests of the ladder decomposition, and of the adjoint action it rests on, over random
-K-mode forms, K <= 6 (K <= 3 for the adjoint action).
+K-mode forms, K <= 6 (K <= 3 for the adjoint action), and of the oracle's mode-exchange
+sectors over random exchange-symmetric forms at K = 2-3.
 
 A form is a direct sum of mode groups. Each group is idle (no terms, so it
 adds zero-frequency pairs), a fresh random block, or a copy of the previous
@@ -13,10 +14,13 @@ That is an open defect, not a property these tests could state.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from quadboson import (BosonBasis, FockTruncation, QuadraticForm, adjoint_rep, commutator_matrix,
-                       decompose, eigenpairs, verify_adjoint_action)
+from quadboson import (BosonBasis, FockTruncation, QuadraticForm, TwoModeParams, adjoint_rep,
+                       commutator_matrix, decompose, eigenpairs, fock, oracle_eigenvalues,
+                       two_mode, verify_adjoint_action)
 from form_helpers import ladder_blocks, random_symmetric, reconstruct_form
 
 EPS = np.finfo(float).eps
@@ -94,3 +98,116 @@ def test_adjoint_action_holds_on_the_interior(form):
     cutoff = {1: 12, 2: 6, 3: 4}[form.basis.n_modes]
     report = verify_adjoint_action(form, FockTruncation(form.basis.n_modes, cutoff))
     assert max(report.interior_residuals) < 64 * EPS * np.max(np.abs(form.coeffs)) * cutoff ** 1.5
+
+
+@st.composite
+def exchange_symmetric_forms(draw):
+    """(form, kind, truncation): a random K = 2-3 form unchanged by swapping modes 1 and 2.
+
+    kind "real" has real coefficients made Hermitian by a number scaling that is the
+    same in both swapped modes, so the oracle balances it; "complex" has complex
+    ones that no scaling balances, so its blocks are solved by eigvals; "identical"
+    is K copies of one oscillator, equally coupled, whose levels repeat.
+    """
+    n_modes = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["real", "complex", "identical"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cutoff = draw(st.integers(3, 9) if n_modes == 2 else st.integers(3, 5))
+    k = n_modes
+    swap = np.r_[1, 0, 2:k]
+    swap = np.concatenate([swap, swap + k])
+    bar = np.roll(np.arange(2 * k), k)
+    if kind == "identical":
+        omega, squeeze, ratio, coupling = rng.uniform(0.5, 1.5), *rng.uniform(0.0, 0.1, 3)
+        g = np.zeros((2 * k, 2 * k))
+        g[:k, :k] = squeeze * np.eye(k)
+        g[k:, k:] = ratio * np.eye(k)
+        g[:k, k:] = g[k:, :k] = coupling * (1 - np.eye(k)) + 0.5 * omega * np.eye(k)
+        return QuadraticForm(BosonBasis(k), g), kind, FockTruncation(k, cutoff)
+    m = random_symmetric(rng, 2 * k)
+    if kind == "real":
+        m = m.real
+    m = 0.5 * (m + m[np.ix_(swap, swap)])
+    if kind == "complex":
+        return QuadraticForm(BosonBasis(k), m, complex(*rng.normal(size=2))), kind, \
+            FockTruncation(k, cutoff)
+    h = 0.5 * (m + m[np.ix_(bar, bar)])
+    log_r = rng.uniform(-0.3, 0.3, k)
+    log_r[1] = log_r[0]
+    s = np.exp(np.concatenate([-log_r, log_r]))
+    return QuadraticForm(BosonBasis(k), h / np.outer(s, s), float(rng.normal())), kind, \
+        FockTruncation(k, cutoff)
+
+
+def matched_distance(a, b):
+    """Largest distance between two spectra paired by an optimal matching."""
+    dist = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    return float(np.max(dist[rows, cols]))
+
+
+@PROPERTY_SETTINGS
+@given(exchange_symmetric_forms())
+def test_exchange_sectors_hold_the_parity_block_spectrum(case):
+    # the sectors of each parity block together hold its full spectrum; a balanced
+    # form's sectors are exactly Hermitian, and the oracle solves them in place of the block
+    form, kind, trunc = case
+    perm = fock._mode_exchange(form)
+    assert perm is not None
+    balanced = fock._hermitian_balance(form, perm)
+    assert (balanced is None) == (kind == "complex")
+    rows, cols, values, _ = fock.assemble(form if balanced is None else balanced, trunc)
+    solved = []
+    for (mask, position, size), split in zip(fock._parity_blocks(trunc),
+                                             fock._sector_blocks(trunc, perm)):
+        keep = mask[rows]
+        whole = oracle_eigenvalues((position[rows[keep]], position[cols[keep]], values[keep], size))
+        parts = []
+        for sector in split:
+            block = fock._sector(rows, cols, values, sector, balanced is not None)
+            matrix = fock._dense(*block)
+            assert np.array_equal(matrix, matrix.conj().T) == (balanced is not None)
+            parts.append(oracle_eigenvalues(block))
+        union = np.concatenate(parts)
+        assert union.size == size
+        assert matched_distance(union, whole) <= 1e-12 * np.max(np.abs(whole))
+        solved += parts
+    spectrum = fock._parity_eigenvalues(form, trunc, 1, balanced, perm)
+    assert np.array_equal(spectrum, np.sort(np.concatenate(solved), kind="stable"))
+
+
+@pytest.mark.parametrize("params,cutoff,sectors_fit", [
+    # balanced: blocks of 1250 states, sectors of 625 + 625 (even: 50 fixed |n,n>, 600 pairs)
+    pytest.param((0.1, 0.2, 0.3), 50, False, id="balanced-cutoff-50"),
+    # complex alpha, no balance: blocks of 545 and 544 states, sectors of 289 + 256, 272 + 272
+    pytest.param((0.1 + 0.05j, 0.2, 0.3), 33, False, id="unbalanced-cutoff-33"),
+    # sectors that fit, of blocks Arnoldi solves faster than full solves of the sectors:
+    # no balance, 313 + 312 states in sectors of at most 169
+    pytest.param((-0.1, 0.2, 0.3), 25, True, id="unbalanced-real-cutoff-25"),
+    # balanced but complex, 800 + 800 states in sectors of at most 420
+    pytest.param((0.1 + 0.05j, 0.2 - 0.1j, 0.3), 40, True, id="balanced-complex-cutoff-40"),
+])
+def test_block_above_the_full_solve_limit_is_solved_whole(monkeypatch, params, cutoff,
+                                                          sectors_fit):
+    # whole, by Arnoldi as without the exchange, where its sectors exceed the full-solve
+    # limit, and where they fit but would go to dense eigvals or complex eigvalsh
+    form, trunc = two_mode(TwoModeParams(*params)), FockTruncation(2, cutoff)
+    perm = fock._mode_exchange(form)
+    balanced = fock._hermitian_balance(form, perm)
+    limit = fock._DENSE_BLOCK_MAX if balanced is None else fock._HERMITIAN_BLOCK_MAX
+    sizes = [size for _, _, size in fock._parity_blocks(trunc)]
+    assert perm == (1, 0) and min(sizes) > limit
+    assert all((max(sector[2] for sector in split) <= limit) == sectors_fit
+               for split in fock._sector_blocks(trunc, perm))
+    # Arnoldi itself is stubbed: the routing is the point, and a complex block of 800
+    # states takes seconds where BLAS runs threads on a loaded machine
+    blocks, arnoldi, solve = [], [], fock.oracle_eigenvalues
+    monkeypatch.setattr(fock, "oracle_eigenvalues",
+                        lambda block, count=None: blocks.append((block[3], count))
+                        or solve(block, count))
+    monkeypatch.setattr(fock, "_lowest_by_arnoldi",
+                        lambda matrix, k: arnoldi.append((matrix.shape[0], k))
+                        or np.zeros(k, complex))
+    fock._parity_eigenvalues(form, trunc, 5, balanced, perm)
+    assert blocks == [(size, 5) for size in sizes]
+    assert arnoldi == [(size, 6) for size in sizes]

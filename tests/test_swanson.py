@@ -218,7 +218,10 @@ class TestGenerator:
         q_rep = adjoint_rep(generator_coeffs(cmap))
         assert np.max(np.abs(sla.expm(q_rep) - cmap.matrix.T)) < 1e-10
 
-    def test_coefficients_symmetric_for_random_maps(self, rng):
+    def test_exponential_roundtrip_for_random_maps(self, rng):
+        # S^t = exp(2 G u): the generator's coefficients must rebuild the map they came from
+        u = commutator_matrix(BosonBasis(1))
+        checked = 0
         for _ in range(50):
             params = random_one_mode(rng)
             disc = 1.0 - 4.0 * params.alpha * params.beta
@@ -228,8 +231,11 @@ class TestGenerator:
             eig = np.linalg.eigvals(cmap.matrix)
             if np.any((np.abs(eig.imag) < 1e-12) & (eig.real <= 0)):
                 continue
-            form = generator_coeffs(cmap)
-            assert np.max(np.abs(form.coeffs - form.coeffs.T)) < 1e-12
+            st = cmap.matrix.T
+            rebuilt = sla.expm(2.0 * generator_coeffs(cmap).coeffs @ u)
+            assert np.max(np.abs(rebuilt - st)) <= 1e-12 * np.max(np.abs(st))
+            checked += 1
+        assert checked >= 40
 
     def test_negative_axis_eigenvalue_rejected(self):
         cmap = CanonicalMap(np.array([[-2.0, 0.0], [0.0, -0.5]]))
