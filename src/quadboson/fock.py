@@ -5,34 +5,35 @@ mode cut off at nmax levels, as COO triplets composed term by term from
 the single-operator index maps of the basis' occupation table; no dense
 full-size matrix is formed. Its spectrum is an oracle for the
 ladder-operator predictions that knows nothing about the algebraic
-construction. Every quadratic term changes the total boson number by 0 or
-+/-2, so the operator is block-diagonal in total-number parity and the
-oracle cuts the two blocks' triplets apart and solves each, in real
-arithmetic when the form is real. Where a number scaling makes the form
-Hermitian (_hermitian_balance), that similar form is solved instead; the
-untruncated spectrum need not be real for that. Where swapping two modes
-leaves the form unchanged (_mode_exchange), a parity block is split
-further into that exchange's even and odd sectors, folded from the same
-triplets, and the sectors are solved in full in place of the block, where
-each fits a full solve (at most _HERMITIAN_BLOCK_MAX, 512, states for a
-balanced form, _DENSE_BLOCK_MAX, 256, otherwise) and the block itself
-does too or the form is balanced and real; the size limits below then
-apply to those sectors. A balanced block or sector of at most 512 states
-is solved in full by eigvalsh. Otherwise oracle_eigenvalues
-picks the solve: a block of at most 256 states is scattered densely and
-diagonalized in full, by eigvalsh when it equals its conjugate transpose
-exactly; a larger one is built as CSR and solved by Arnoldi
-iteration for only the lowest levels + 1 eigenvalues a spectrum check
-reads, so the reported spectrum then holds just those. A copy of a
-repeated level the iteration missed is looked for by one more Arnoldi
-run for a single value, from an independent start vector with the found
-eigenvectors deflated. Truncation corrupts elements near the cutoff, so
-comparisons use interior blocks and are re-run at a larger cutoff. The
-index tables that depend on the truncation alone, the single-operator maps,
-each parity block's states and positions and each exchange sector's slots
-and coefficients, are built once per truncation (and transposition) and
-kept, read-only, for the 8 most recently used ones (under 1 MB each at
-the 4096-state cap).
+construction. Where a number scaling makes the form Hermitian
+(_hermitian_balance), that similar form is assembled instead; the
+untruncated spectrum need not be real for that. Every quadratic term
+changes the total boson number by 0 or +/-2, so the operator is
+block-diagonal in total-number parity. Where swapping two modes leaves the
+form unchanged (_mode_exchange), a parity block splits further into that
+exchange's even and odd sectors. A parity block and an exchange sector
+are both solve units (_blocks): each is folded from the same triplets
+(_fold) and solved on its own, in real arithmetic when the form is real.
+
+Size policy, stated here once. The limit is _HERMITIAN_BLOCK_MAX (512
+states) for a balanced form and _DENSE_BLOCK_MAX (256) otherwise. A block
+is solved as its two sectors where each sector is within the limit and
+the block itself is too, or the balanced form is real (the measurements
+are at _parity_eigenvalues); else it is solved whole. A unit within the
+limit is diagonalized in full, by eigvalsh when it equals its conjugate
+transpose exactly; a larger one is solved by Arnoldi iteration for only
+the lowest levels + 1 eigenvalues a spectrum check reads, so the reported
+spectrum then holds just those (oracle_eigenvalues). A copy of a repeated
+level the iteration missed is looked for by one more Arnoldi run for a
+single value, from an independent start vector with the found
+eigenvectors deflated.
+
+Truncation corrupts elements near the cutoff, so comparisons use interior
+blocks and are re-run at a larger cutoff. The index tables that depend on
+the truncation alone, the single-operator maps and every solve unit's
+slots and coefficients, are built once per truncation (and transposition)
+and kept, read-only, for the 8 most recently used ones (under 1 MB each
+at the 4096-state cap).
 
 scipy is imported inside the functions that need it, the Arnoldi solve
 and the metric check, so importing this module, and every dense oracle
@@ -53,8 +54,7 @@ from .swanson import OneModeParams, one_mode
 DEFAULT_DIMENSION_CAP = 4096
 SPECTRUM_TOL = 1e-6
 _METRIC_REAL_TOL = 1e-9
-# Largest parity block (or exchange sector) solved densely when only its lowest
-# levels are wanted.
+# Largest solve unit solved in full (the size policy, module docstring).
 # Odd blocks, best of 15 in each of two runs, one BLAS thread, dense eigvals
 # against Arnoldi with its repeated-level check (ms): two-mode 200 states 11 /
 # 11-18, 242 states 16-17 / 12-14, 312 states 28 / 16; three-mode 256 states 20 /
@@ -62,8 +62,7 @@ _METRIC_REAL_TOL = 1e-9
 # states. The strongly non-normal one-mode block at (0.3, 0.5) crosses later:
 # 260 states 33 / 36, 300 states 37-49 / 43-65, 400 states 80 / 53.
 _DENSE_BLOCK_MAX = 256
-# Largest parity block (or exchange sector) of a balanced form (_hermitian_balance)
-# solved in full.
+# Largest solve unit of a balanced form (_hermitian_balance) solved in full.
 # Best of 15, one BLAS thread, eigvalsh against Arnoldi (ms), two-mode
 # (0.1, 0.2, 0.3): 313 states 8.2 / 23-26, 512 states 17-18 / 21, 613 states
 # 29-39 / 22-26; one-mode (0.3, 0.5), 300 states: 4.6-4.8 / 34-42.
@@ -158,41 +157,36 @@ def _ladder_maps(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _parity_blocks(trunc: FockTruncation) -> tuple:
-    """(mask, position, size) of the even and then the odd total-parity block: which basis
-    states it holds, each state's index within it, and its state count. Cached per
-    truncation, read-only."""
-    odd = trunc.odd_mask()
-    return tuple((*_read_only(mask, np.cumsum(mask) - 1), int(mask.sum())) for mask in (~odd, odd))
+def _blocks(trunc: FockTruncation, perm: tuple | None = None) -> tuple:
+    """(whole, split) of the even and then the odd total-parity block, each a solve unit
+    (slot, coef, size) for _fold: slot gives each basis state its index in the unit, or -1
+    where the state is not in it, coef its coefficient in that basis vector (None: 1), size
+    counts the unit's states.
 
-
-@lru_cache(maxsize=8)
-def _sector_blocks(trunc: FockTruncation, perm: tuple) -> tuple:
-    """For each parity block of _parity_blocks, (slot, coef, size) of the even (+) and then
-    the odd (-) sector of the mode transposition P, perm the mode order it makes.
-
-    A sector is spanned by (|n> +/- P|n>) / sqrt 2 over the orbit representatives n,
-    the lower state of each pair, and by |n> alone where P|n> = |n> (+ sector only).
-    slot gives each basis state its representative's index in the sector, or -1 where
-    the state is not in it, coef its coefficient in that vector; size counts the
-    representatives. Cached per truncation and transposition, read-only.
+    whole is the block itself, its states in basis order. split is None without perm, else
+    the even (+) and then the odd (-) sector of the mode transposition P, perm the mode
+    order it makes: a sector is spanned by (|n> +/- P|n>) / sqrt 2 over the orbit
+    representatives n, the lower state of each pair, and by |n> alone where P|n> = |n>
+    (+ sector only). Cached per truncation and transposition, read-only.
     """
-    index = np.arange(trunc.dimension)
-    image = trunc.occupations()[:, list(perm)] @ trunc.cutoff ** np.arange(trunc.n_modes)[::-1]
-    fixed, lead = index == image, index <= image
-    half = np.sqrt(0.5)
-    plus = np.where(fixed, 1.0, half)
-    minus = np.where(lead, half, -half)
-    sectors = []
-    for mask, _, _ in _parity_blocks(trunc):
-        pair = []
-        for member, coef in ((mask, plus), (mask & ~fixed, minus)):
-            heads = member & lead
-            slot = np.where(member, (np.cumsum(heads) - 1)[np.minimum(index, image)], -1)
-            pair.append((*_read_only(slot), coef, int(heads.sum())))
-        sectors.append(tuple(pair))
-    _read_only(plus, minus)
-    return tuple(sectors)
+    index, odd = np.arange(trunc.dimension), trunc.odd_mask()
+
+    def unit(member, heads, rep, coef):
+        return (*_read_only(np.where(member, (np.cumsum(heads) - 1)[rep], -1)), coef,
+                int(heads.sum()))
+
+    if perm is not None:
+        image = trunc.occupations()[:, list(perm)] @ trunc.cutoff ** np.arange(trunc.n_modes)[::-1]
+        fixed, lead, rep = index == image, index <= image, np.minimum(index, image)
+        half = np.sqrt(0.5)
+        plus, minus = _read_only(np.where(fixed, 1.0, half), np.where(lead, half, -half))
+    blocks = []
+    for mask in (~odd, odd):
+        split = None if perm is None else tuple(
+            unit(member, member & lead, rep, coef)
+            for member, coef in ((mask, plus), (mask & ~fixed, minus)))
+        blocks.append((unit(mask, mask, index, None), split))
+    return tuple(blocks)
 
 
 def _mode_exchange(form: QuadraticForm) -> tuple | None:
@@ -392,41 +386,44 @@ def _hermitian_balance(form: QuadraticForm, perm: tuple | None = None) -> Quadra
                          form.offset)
 
 
-def _sector(rows, cols, values, sector: tuple, hermitian: bool) -> tuple:
-    """COO triplets of one exchange sector (_sector_blocks) folded from the full operator's:
-    each state's position becomes its representative's slot, each value is multiplied by
-    the two states' coefficients. hermitian keeps the upper triangle and its mirror image,
-    so that the block of a Hermitian operator is Hermitian bit for bit, whatever order
-    the folded entries of a position sum in."""
-    slot, coef, size = sector
-    keep = (slot[rows] >= 0) & (slot[cols] >= 0)
-    rows, cols = rows[keep], cols[keep]
-    i, j, v = slot[rows], slot[cols], values[keep] * (coef[rows] * coef[cols])
-    if hermitian:
-        upper, strict = i <= j, i < j
-        i, j, v = (np.concatenate([i[upper], j[strict]]), np.concatenate([j[upper], i[strict]]),
-                   np.concatenate([v[upper], v[strict].conj()]))
+def _fold(rows, cols, values, unit: tuple, hermitian: bool) -> tuple:
+    """COO triplets of one solve unit (_blocks) folded from the full operator's: each state's
+    position becomes its slot in the unit, an entry of a state outside it is dropped. In an
+    exchange sector each value is also multiplied by the two states' coefficients, and
+    hermitian keeps the upper triangle and its mirror image, so that the sector of a
+    Hermitian operator is Hermitian bit for bit, whatever order the folded entries of a
+    position sum in; a whole block of a balanced form is so already, as each of its
+    positions sums at most two conjugate terms."""
+    slot, coef, size = unit
+    i, j = slot[rows], slot[cols]
+    keep = (np.minimum(i, j) >= 0).nonzero()[0]  # an index array: it is applied 3 to 5 times
+    i, j, v = i[keep], j[keep], values[keep]
+    if coef is not None:
+        rows, cols = rows[keep], cols[keep]
+        v = v * (coef[rows] * coef[cols])
+        if hermitian:
+            upper, strict = (i <= j).nonzero()[0], (i < j).nonzero()[0]
+            i, j, v = (np.concatenate([i[upper], j[strict]]),
+                       np.concatenate([j[upper], i[strict]]),
+                       np.concatenate([v[upper], v[strict].conj()]))
     return i, j, v, size
 
 
 def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation, count: int,
                         balanced: QuadraticForm | None = None,
                         perm: tuple | None = None) -> np.ndarray:
-    """Sorted oracle spectrum from one assembly and one solve per total-parity block (or per
-    exchange sector, below), each handed to oracle_eigenvalues as its own triplets.
+    """Sorted oracle spectrum from one assembly and one oracle_eigenvalues call per solve
+    unit (_blocks), a total-parity block or one of its exchange sectors, split and solved
+    by the size policy of the module docstring.
 
-    balanced, the form's Hermitian similar from _hermitian_balance, is assembled in
-    its place when given, and each of its blocks of at most _HERMITIAN_BLOCK_MAX
-    states solved in full. perm, a mode transposition that leaves the assembled form
-    unchanged (_mode_exchange), splits a block into its two exchange sectors
-    (_sector_blocks), each then solved in full in place of one solve of the block,
-    where each sector holds at most _HERMITIAN_BLOCK_MAX states for a balanced form,
-    _DENSE_BLOCK_MAX otherwise, and the block itself is no larger or the form is
-    balanced and real. Per run, best of 9, one BLAS thread, two-mode blocks solved
-    whole against split (ms): balanced (0.1, 0.2, 0.3), 613 states 46 / 27, 800
-    states 54 / 46; where Arnoldi would take the block otherwise: (-0.1, 0.2, 0.3),
-    450 states 45 / 70; (0.1i, 0.2i, 0.3), 450 states 66 / 179; balanced
-    (0.1+0.05i, 0.2-0.1i, 0.3), 800 states 85 / 122.
+    balanced, the form's Hermitian similar from _hermitian_balance, is assembled in its
+    place when given. perm, a mode transposition that leaves the assembled form unchanged
+    (_mode_exchange), lets a block split into its two exchange sectors. The split rule
+    keeps a block above the limit whole unless the balanced form is real: per run, best
+    of 9, one BLAS thread, two-mode blocks solved whole against split (ms): balanced
+    (0.1, 0.2, 0.3), 613 states 46 / 27, 800 states 54 / 46; where Arnoldi would take the
+    block otherwise: (-0.1, 0.2, 0.3), 450 states 45 / 70; (0.1i, 0.2i, 0.3), 450 states
+    66 / 179; balanced (0.1+0.05i, 0.2-0.1i, 0.3), 800 states 85 / 122.
     """
     rows, cols, values, _ = assemble(form if balanced is None else balanced, trunc)
     limit = _DENSE_BLOCK_MAX if balanced is None else _HERMITIAN_BLOCK_MAX
@@ -434,18 +431,13 @@ def _parity_eigenvalues(form: QuadraticForm, trunc: FockTruncation, count: int,
     # a block above the limit, which Arnoldi would solve, is split only where its sectors
     # go to real eigvalsh; dense eigvals or complex eigvalsh of its sectors cost more
     split_large = hermitian and values.dtype.kind == "f"
-    sectors = (None, None) if perm is None else _sector_blocks(trunc, perm)
     spectra = []
-    for (mask, position, size), split in zip(_parity_blocks(trunc), sectors):
-        if (split is not None and max(sector[2] for sector in split) <= limit
-                and (size <= limit or split_large)):
-            spectra += [oracle_eigenvalues(_sector(rows, cols, values, sector, hermitian))
-                        for sector in split if sector[2]]
-            continue
-        keep = mask[rows]
-        block = position[rows[keep]], position[cols[keep]], values[keep], size
-        full = hermitian and size <= _HERMITIAN_BLOCK_MAX
-        spectra.append(oracle_eigenvalues(block, None if full else count))
+    for whole, split in _blocks(trunc, perm):
+        fits = split is not None and max(unit[2] for unit in split) <= limit
+        units = split if fits and (whole[2] <= limit or split_large) else (whole,)
+        spectra += [oracle_eigenvalues(_fold(rows, cols, values, unit, hermitian),
+                                       None if unit[2] <= limit else count)
+                    for unit in units if unit[2]]
     return np.sort(np.concatenate(spectra), kind="stable")
 
 
@@ -475,15 +467,12 @@ class OracleReport:
     """Oracle spectrum versus ladder predictions.
 
     eigenvalues is the first run's sorted oracle spectrum: every
-    eigenvalue of a parity block of at most 256 states (512 where a number
-    scaling makes the form Hermitian), only the lowest levels + 1 of a
-    larger block. Where swapping two modes leaves the form unchanged, a
-    block split into its two exchange sectors gives every eigenvalue
-    (see verify_spectrum; the real two-mode model at nmax 40: all 1600
-    levels). matched rows are (predicted, observed,
-    |deviation|) for the lowest levels; converged reflects a second run
-    at a larger cutoff. For a non-real classification the comparison is
-    informational only.
+    eigenvalue of a solve unit within the size limit of the module
+    docstring, only the lowest levels + 1 of a larger one (the real
+    two-mode model at nmax 40, solved by exchange sectors: all 1600
+    levels). matched rows are (predicted, observed, |deviation|) for the
+    lowest levels; converged reflects a second run at a larger cutoff.
+    For a non-real classification the comparison is informational only.
     """
 
     eigenvalues: np.ndarray
@@ -511,20 +500,13 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
     otherwise; converged means every matched level moved by less than
     tol/10. The re-run stays under trunc.cap: a truncation whose re-run
     exceeds it raises ValueError before anything is assembled. Each run
-    assembles the full truncation once and solves the even and odd
-    total-parity blocks separately (the form conserves that parity); a
-    block above 256 states is solved for its lowest levels + 1
-    eigenvalues only, so the report's eigenvalues then hold just those
-    from it (see oracle_eigenvalues). Where a number scaling makes the form
-    Hermitian (_hermitian_balance, found once for both runs), that similar
-    form is assembled and each block of at most 512 states solved in full
-    by eigvalsh: the same truncated spectrum, which says nothing about
-    reality, so comparable is still the classification's alone. Where a
-    transposition of two modes leaves the form unchanged (_mode_exchange,
-    also found once for both runs), a block is solved as its even and odd
-    exchange sectors, each in full, where each sector holds at most 512
-    states (balanced) or 256 (otherwise) and the block itself does too or
-    the balanced form is real: those limits then apply to the sectors.
+    assembles the full truncation once and solves its solve units apart,
+    split and sized by the module docstring's size policy, so the report's
+    eigenvalues hold just the lowest levels + 1 of a unit above the limit.
+    The number scaling (_hermitian_balance) and the mode transposition
+    (_mode_exchange) are each found once for both runs. The balanced form
+    has the same truncated spectrum, which says nothing about reality, so
+    comparable is still the classification's alone.
     """
     if not (_is_integer(levels) and levels >= 1):
         raise ValueError(f"levels must be a positive integer, got {levels!r}")

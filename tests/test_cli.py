@@ -369,6 +369,20 @@ class TestOracle:
         assert [size for size, _ in solved] == [240, 210, 225, 225, 324, 289, 306, 306]
         assert all(count is None for _, count in solved)
 
+    def test_one_mode_config_solves_each_parity_block_whole(self, monkeypatch, capsys):
+        # the checked-in reference point (0.3, 0.5) CI runs: nmax 60 (30 + 30 states) and
+        # its re-run at 80 (40 + 40), each balanced block solved whole and in full
+        from quadboson import fock
+
+        solved, solve = [], fock.oracle_eigenvalues
+        monkeypatch.setattr(fock, "oracle_eigenvalues",
+                            lambda block, count=None: solved.append((block[3], count))
+                            or solve(block, count))
+        code = main(["oracle", "--config", str(DATA / "oracle_one_mode.json")])
+        out = capsys.readouterr().out
+        assert code == 0 and out.rstrip().endswith("result: pass")
+        assert solved == [(30, None), (30, None), (40, None), (40, None)]
+
     def test_cli_overrides(self, tmp_path, capsys):
         config = dict(ONE_MODE, oracle={"nmax": 40, "levels": 5, "tol": 1e-6})
         code = main([

@@ -323,24 +323,27 @@ class TestIndexMaps:
         assert dropped > 0
 
 
-TABLES = (fock._ladder_maps, fock._parity_blocks)
-
-
 def leaves(tables):
-    """Every array and size in a cached table, nested tuples walked."""
+    """Every array and size in a cached table, nested tuples walked, a None coefficient
+    skipped."""
     for item in tables:
         if isinstance(item, tuple):
             yield from leaves(item)
-        else:
+        elif item is not None:
             yield item
 
 
 class TestTableCache:
     """The truncation-only index tables, built once per truncation and shared read-only."""
 
+    @staticmethod
+    def tables():
+        # read when a test runs, so that a renamed table fails these tests, not collection
+        return fock._ladder_maps, fock._blocks
+
     def test_second_call_shares_read_only_arrays(self):
         trunc = FockTruncation(2, 5)
-        for table in TABLES:
+        for table in self.tables():
             first, second = list(leaves(table(trunc))), list(leaves(table(trunc)))
             arrays = [(a, b) for a, b in zip(first, second) if isinstance(a, np.ndarray)]
             assert len(first) == len(second) and arrays
@@ -352,7 +355,7 @@ class TestTableCache:
     @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4)])
     def test_cached_tables_equal_fresh_ones(self, n_modes, cutoff):
         trunc = FockTruncation(n_modes, cutoff)
-        for table in TABLES:
+        for table in self.tables():
             cached, fresh = list(leaves(table(trunc))), list(leaves(table.__wrapped__(trunc)))
             assert len(cached) == len(fresh)
             for a, b in zip(cached, fresh):
@@ -364,29 +367,31 @@ class TestTableCache:
         runs = []
         for clear in (True, False):
             if clear:
-                for table in TABLES:
+                for table in self.tables():
                     table.cache_clear()
             runs.append(assemble(form, trunc)[:3] + (fock._parity_eigenvalues(form, trunc, 4),))
         for cold, warm in zip(*runs):
             assert cold.dtype == warm.dtype and cold.tobytes() == warm.tobytes()
 
     def test_cache_retains_under_8_mb_at_the_cap(self):
-        # 9 truncations of 3000 to 4096 states, K = 1 to 6: the first is evicted
+        # 9 truncations of 3000 to 4096 states, K = 1 to 6: the first is evicted; the 8
+        # entries of both tables retain 3.7 MB, most of it the maps of the many-mode ones
         truncs = [FockTruncation(k, c) for k, c in
                   [(1, 4096), (1, 4000), (2, 64), (2, 63), (3, 16), (3, 15), (4, 8), (5, 5), (6, 4)]]
-        for table in TABLES:
+        tables = self.tables()
+        for table in tables:
             table.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for trunc in truncs:
-                for table in TABLES:
+                for table in tables:
                     table(trunc)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        info = [table.cache_info() for table in TABLES]
-        for table in TABLES:
+        info = [table.cache_info() for table in tables]
+        for table in tables:
             table.cache_clear()
         assert all(i.maxsize == i.currsize == 8 for i in info)
         assert retained < 8e6
@@ -779,8 +784,8 @@ def cyclic_three_mode():
 
 
 def sector_vectors(trunc, perm, parity, sign):
-    """The sector's basis vectors as dense columns, from _sector_blocks' slot and coef."""
-    slot, coef, size = fock._sector_blocks(trunc, perm)[parity][sign]
+    """The sector's basis vectors as dense columns, from its _blocks unit's slot and coef."""
+    slot, coef, size = fock._blocks(trunc, perm)[parity][1][sign]
     vectors = np.zeros((trunc.dimension, size))
     member = np.flatnonzero(slot >= 0)
     vectors[member, slot[member]] = coef[member]
@@ -831,7 +836,12 @@ class TestModeExchange:
         swap = np.zeros((trunc.dimension,) * 2)
         swap[np.ravel_multi_index(occ[:, list(perm)].T, (cutoff,) * n_modes),
              np.arange(trunc.dimension)] = 1.0
-        for parity, (mask, _, size) in enumerate(fock._parity_blocks(trunc)):
+        odd = trunc.odd_mask()
+        for parity, ((slot, coef, size), _) in enumerate(fock._blocks(trunc, perm)):
+            # the whole block: its own states in basis order, whatever the transposition
+            mask = odd if parity else ~odd
+            assert coef is None and size == mask.sum()
+            assert np.array_equal(slot, np.where(mask, np.cumsum(mask) - 1, -1))
             plus, minus = (sector_vectors(trunc, perm, parity, sign) for sign in (0, 1))
             basis = np.hstack([plus, minus])
             assert basis.shape == (trunc.dimension, size)
@@ -846,45 +856,137 @@ class TestModeExchange:
         trunc, small = FockTruncation(2, 2), 3e-16
         rows, cols = np.array([0, 0, 0, 3, 3, 3]), np.array([3, 3, 3, 0, 0, 0])
         values = np.array([1.0, 1.0, small, small, 1.0, 1.0])
-        sector = fock._sector_blocks(trunc, (1, 0))[0][0]
+        whole, (sector, _) = fock._blocks(trunc, (1, 0))[0]
         assert sector[2] == 2
-        unmirrored = fock._dense(*fock._sector(rows, cols, values, sector, False))
+        unmirrored = fock._dense(*fock._fold(rows, cols, values, sector, False))
         assert unmirrored[0, 1] != unmirrored[1, 0]
-        folded = fock._dense(*fock._sector(rows, cols, values, sector, True))
+        folded = fock._dense(*fock._fold(rows, cols, values, sector, True))
         assert np.array_equal(folded, folded.T) and folded[0, 1] == unmirrored[0, 1]
+        # a whole block is gathered as it comes, never mirrored: the two states are its
+        # first and last, and their entries sum in the order given
+        block = fock._dense(*fock._fold(rows, cols, values, whole, True))
+        assert whole[2] == 2 and np.array_equal(block, unmirrored)
 
     def test_sector_tables_cached_and_read_only(self):
         trunc = FockTruncation(2, 6)
-        first, second = fock._sector_blocks(trunc, (1, 0)), fock._sector_blocks(trunc, (1, 0))
-        fresh = fock._sector_blocks.__wrapped__(trunc, (1, 0))
+        first, second = fock._blocks(trunc, (1, 0)), fock._blocks(trunc, (1, 0))
+        fresh = fock._blocks.__wrapped__(trunc, (1, 0))
         arrays = [(a, b, c) for a, b, c in zip(leaves(first), leaves(second), leaves(fresh))
                   if isinstance(a, np.ndarray)]
-        assert len(arrays) == 8
+        # per parity block: the whole block's slot, each sector's slot and coef
+        assert len(arrays) == 10
         for a, b, c in arrays:
             assert a is b and not a.flags.writeable and np.array_equal(a, c)
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
 
     def test_sector_cache_retains_under_2_mb_at_the_cap(self):
-        # 9 truncations of 3000 to 4096 states, K = 2 to 6: the first is evicted; the
-        # parity tables each one reads are built outside the count
+        # 9 truncations of 3000 to 4096 states, K = 2 to 6, each with a transposition: the
+        # first is evicted. The 8 entries, whole blocks and sectors together, retain 1.90 MB:
+        # 64 bytes per state, six int64 slots and two float64 coefficients
         truncs = [FockTruncation(k, c) for k, c in
                   [(2, 64), (2, 63), (3, 16), (3, 15), (4, 8), (5, 5), (6, 4), (2, 62), (3, 14)]]
-        fock._sector_blocks.cache_clear()
-        retained = 0
+        fock._blocks.cache_clear()
         tracemalloc.start()
         try:
+            before = tracemalloc.get_traced_memory()[0]
             for trunc in truncs:
-                fock._parity_blocks(trunc)
-                before = tracemalloc.get_traced_memory()[0]
-                fock._sector_blocks(trunc, (1, 0) + tuple(range(2, trunc.n_modes)))
-                retained += tracemalloc.get_traced_memory()[0] - before
+                fock._blocks(trunc, (1, 0) + tuple(range(2, trunc.n_modes)))
+            retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        info = fock._sector_blocks.cache_info()
-        fock._sector_blocks.cache_clear()
+        info = fock._blocks.cache_info()
+        fock._blocks.cache_clear()
         assert info.maxsize == info.currsize == 8
         assert retained < 2e6
+
+
+def reference_parity_eigenvalues(form, trunc, count, balanced=None, perm=None):
+    """_parity_eigenvalues with an independent fold: a whole parity block cut out by its
+    mask and running position, a sector's triplets filtered before its slots are
+    gathered, under the same split rule and routing rule (the module's size policy)."""
+    rows, cols, values, _ = assemble(form if balanced is None else balanced, trunc)
+    limit = fock._DENSE_BLOCK_MAX if balanced is None else fock._HERMITIAN_BLOCK_MAX
+    split_large = balanced is not None and values.dtype.kind == "f"
+    odd, spectra = trunc.odd_mask(), []
+    for mask, (_, split) in zip((~odd, odd), fock._blocks(trunc, perm)):
+        size = int(mask.sum())
+        if (split is not None and max(sector[2] for sector in split) <= limit
+                and (size <= limit or split_large)):
+            for slot, coef, n in (sector for sector in split if sector[2]):
+                keep = (slot[rows] >= 0) & (slot[cols] >= 0)
+                r, c = rows[keep], cols[keep]
+                i, j, v = slot[r], slot[c], values[keep] * (coef[r] * coef[c])
+                if balanced is not None:
+                    upper, strict = i <= j, i < j
+                    i, j, v = (np.concatenate([i[upper], j[strict]]),
+                               np.concatenate([j[upper], i[strict]]),
+                               np.concatenate([v[upper], v[strict].conj()]))
+                spectra.append(fock.oracle_eigenvalues((i, j, v, n), None))
+            continue
+        position, keep = np.cumsum(mask) - 1, mask[rows]
+        block = position[rows[keep]], position[cols[keep]], values[keep], size
+        spectra.append(fock.oracle_eigenvalues(block, None if size <= limit else count))
+    return np.sort(np.concatenate(spectra), kind="stable")
+
+
+class TestSolveUnits:
+    """Whole parity blocks and exchange sectors, folded and routed by one rule."""
+
+    @pytest.mark.parametrize("exchange", [True, False], ids=["exchange", "no-exchange"])
+    @pytest.mark.parametrize("form,cutoff", [
+        # balanced: split into sectors, and at 33 blocks above 512 split as the form is real
+        pytest.param(two_mode(TwoModeParams(0.1, 0.2, 0.3)), 16, id="balanced-16"),
+        pytest.param(two_mode(TwoModeParams(0.1, 0.2, 0.3)), 33, id="balanced-33"),
+        pytest.param(one_mode(OneModeParams(0.3, 0.5)), 60, id="balanced-one-mode"),
+        # unbalanced: split at 16, whole 313- and 312-state blocks by Arnoldi at 25
+        pytest.param(two_mode(TwoModeParams(-0.1, 0.2, 0.3)), 16, id="unbalanced-16"),
+        pytest.param(two_mode(TwoModeParams(-0.1, 0.2, 0.3)), 25, id="unbalanced-25"),
+        pytest.param(unbalanced_three_mode(), 5, id="unbalanced-three-mode"),
+        # complex coefficients: unbalanced, and balanced
+        pytest.param(two_mode(TwoModeParams(0.2j, 0.2, 0.3)), 16, id="complex-16"),
+        pytest.param(two_mode(TwoModeParams(0.1 + 0.05j, 0.2 - 0.1j, 0.3)), 20,
+                     id="complex-balanced-20"),
+        pytest.param(one_mode(OneModeParams(0.3 + 0.1j, 0.5)), 40, id="complex-one-mode"),
+    ])
+    def test_bit_identical_to_the_reference_fold(self, monkeypatch, form, cutoff, exchange):
+        # within one process: Arnoldi repeats bit for bit there (TestArnoldiBlocks)
+        trunc = FockTruncation(form.basis.n_modes, cutoff)
+        perm = fock._mode_exchange(form) if exchange else None
+        balanced = fock._hermitian_balance(form, perm)
+        solved, solve = [], fock.oracle_eigenvalues
+        monkeypatch.setattr(fock, "oracle_eigenvalues",
+                            lambda block, count: solved.append((block[3], count))
+                            or solve(block, count))
+        spectrum = fock._parity_eigenvalues(form, trunc, 5, balanced, perm)
+        calls = solved[:]
+        solved.clear()
+        reference = reference_parity_eigenvalues(form, trunc, 5, balanced, perm)
+        assert calls == solved
+        assert spectrum.dtype == reference.dtype and spectrum.tobytes() == reference.tobytes()
+
+    def test_whole_blocks_of_a_symmetric_form_match_dense(self, monkeypatch):
+        # the exchange but no balance: the 313- and 312-state blocks stay whole and go to
+        # real Arnoldi, unstubbed; a whole block slotted by the transposition's orbit
+        # representatives, not its own running index, moves levels by up to 3.3 at cutoff 40
+        form, trunc = two_mode(TwoModeParams(-0.1, 0.2, 0.3)), FockTruncation(2, 25)
+        perm = fock._mode_exchange(form)
+        assert perm == (1, 0) and fock._hermitian_balance(form, perm) is None
+        solved, found = [], []
+        solve, arnoldi = fock.oracle_eigenvalues, fock._lowest_by_arnoldi
+        monkeypatch.setattr(fock, "oracle_eigenvalues",
+                            lambda block, count: solved.append((block[3], count))
+                            or solve(block, count))
+        monkeypatch.setattr(fock, "_lowest_by_arnoldi",
+                            lambda matrix, k: found.append((matrix.dtype, arnoldi(matrix, k)))
+                            or found[-1][1])
+        lowest = fock._parity_eigenvalues(form, trunc, 6, None, perm)
+        assert solved == [(313, 6), (312, 6)]
+        assert [dtype for dtype, _ in found] == [np.float64] * 2
+        assert all(values is not None for _, values in found)  # no dense fallback
+        dense = np.sort(np.linalg.eigvals(assemble_dense(form, trunc)), kind="stable")
+        scale = np.maximum(1.0, np.abs(dense[:6]))
+        assert np.all(np.abs(lowest[:6] - dense[:6]) <= 1e-10 * scale)
 
 
 class TestPredictedLevels:

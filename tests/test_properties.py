@@ -158,13 +158,12 @@ def test_exchange_sectors_hold_the_parity_block_spectrum(case):
     assert (balanced is None) == (kind == "complex")
     rows, cols, values, _ = fock.assemble(form if balanced is None else balanced, trunc)
     solved = []
-    for (mask, position, size), split in zip(fock._parity_blocks(trunc),
-                                             fock._sector_blocks(trunc, perm)):
-        keep = mask[rows]
-        whole = oracle_eigenvalues((position[rows[keep]], position[cols[keep]], values[keep], size))
+    for unit, split in fock._blocks(trunc, perm):
+        size = unit[2]
+        whole = oracle_eigenvalues(fock._fold(rows, cols, values, unit, balanced is not None))
         parts = []
         for sector in split:
-            block = fock._sector(rows, cols, values, sector, balanced is not None)
+            block = fock._fold(rows, cols, values, sector, balanced is not None)
             matrix = fock._dense(*block)
             assert np.array_equal(matrix, matrix.conj().T) == (balanced is not None)
             parts.append(oracle_eigenvalues(block))
@@ -195,10 +194,10 @@ def test_block_above_the_full_solve_limit_is_solved_whole(monkeypatch, params, c
     perm = fock._mode_exchange(form)
     balanced = fock._hermitian_balance(form, perm)
     limit = fock._DENSE_BLOCK_MAX if balanced is None else fock._HERMITIAN_BLOCK_MAX
-    sizes = [size for _, _, size in fock._parity_blocks(trunc)]
+    sizes = [whole[2] for whole, _ in fock._blocks(trunc, perm)]
     assert perm == (1, 0) and min(sizes) > limit
     assert all((max(sector[2] for sector in split) <= limit) == sectors_fit
-               for split in fock._sector_blocks(trunc, perm))
+               for _, split in fock._blocks(trunc, perm))
     # Arnoldi itself is stubbed: the routing is the point, and a complex block of 800
     # states takes seconds where BLAS runs threads on a loaded machine
     blocks, arnoldi, solve = [], [], fock.oracle_eigenvalues
