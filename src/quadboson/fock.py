@@ -33,7 +33,10 @@ blocks and are re-run at a larger cutoff. The index tables that depend on
 the truncation alone, the single-operator maps and every solve unit's
 slots and coefficients, are built once per truncation (and transposition)
 and kept, read-only, for the 8 most recently used ones (under 1 MB each
-at the 4096-state cap).
+at the 4096-state cap). The pair products O_i O_j that assemble scales
+are stored, read-only, the first time a pair is needed, and kept for the
+2 most recently used truncations, a run and its re-run (a dense six-mode
+form at the cap fills one with 144 pairs, 8.1 MB).
 
 scipy is imported inside the functions that need it, the Arnoldi solve
 and the metric check, so importing this module, and every dense oracle
@@ -156,6 +159,15 @@ def _ladder_maps(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
                       np.sqrt(np.maximum(occ[mode], moved)))
 
 
+@lru_cache(maxsize=2)
+def _pair_products(trunc: FockTruncation) -> dict:
+    """Table of truncated pair products O_i O_j, (i, j) -> (rows, cols, weights) from
+    _product, each stored read-only by assemble the first time it needs that pair. Kept
+    per truncation for the 2 most recently used ones: a spectrum check's run and its
+    grown() re-run."""
+    return {}
+
+
 @lru_cache(maxsize=8)
 def _blocks(trunc: FockTruncation, perm: tuple | None = None) -> tuple:
     """(whole, split) of the even and then the odd total-parity block, each a solve unit
@@ -225,6 +237,7 @@ def assemble(form: QuadraticForm, trunc: FockTruncation) -> tuple:
     One run of entries per nonzero G[i,j] in np.nonzero order, then the offset
     on the diagonal; a position repeated across runs sums in this order (_dense).
     values are float64 when every coefficient and the offset are real, else complex128.
+    A run is G[i,j] times the weights of the truncation's stored O_i O_j (_pair_products).
     """
     if form.basis.n_modes != trunc.n_modes:
         raise ValueError(
@@ -233,10 +246,12 @@ def assemble(form: QuadraticForm, trunc: FockTruncation) -> tuple:
     g, offset = form.coeffs, form.offset
     if not np.any(g.imag) and offset.imag == 0:
         g, offset = g.real, offset.real
-    maps = _ladder_maps(trunc)
+    pairs = _pair_products(trunc)
     terms = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, g.dtype))]  # typed even with no term
     for i, j in zip(*np.nonzero(g)):
-        rows, cols, weights = _product(maps, (i, j))
+        if (i, j) not in pairs:
+            pairs[i, j] = _read_only(*_product(_ladder_maps(trunc), (i, j)))
+        rows, cols, weights = pairs[i, j]
         terms.append((rows, cols, g[i, j] * weights))
     if offset != 0:
         diagonal = np.arange(trunc.dimension)
@@ -595,11 +610,12 @@ class MetricReport:
     The metric block is exact at every cutoff, so the residual is round-off
     alone; as an absolute max-norm it scales with rho's entries, which grow
     geometrically with the level for strongly squeezing maps (about 4x per
-    level at alpha=0.3, beta=0.5, where the round-off reaches ~1e10 at
+    level at alpha=0.3, beta=0.5, where the round-off reaches ~5e8 at
     interior 38). The small-block entries of residual_profile are the
     meaningful ones there. relative_residual divides residual by
     ||rho_I||_inf ||H_I||_inf on that interior block, so an exact metric
-    reads at round-off (1.1e-16 at alpha=0.3, beta=0.5, interior 38).
+    reads at round-off (5.6e-17 at alpha=0.3, beta=0.5, interior 38, where
+    the real map is checked in real arithmetic).
     min_metric_eigenvalue is the smallest eigenvalue of the interior
     metric block (positive-definiteness witness).
     """
@@ -624,11 +640,16 @@ def _metric_factor(cmap: CanonicalMap, trunc: FockTruncation) -> np.ndarray:
     A and E. a^dag^2 is strictly lower triangular in the number basis, so
     expm of its truncated matrix is exactly the truncation of
     exp(A a^dag^2); F is that block with column k scaled by E^(k/2 + 1/4).
+    A real map (real alpha and beta with 1 - 4 alpha beta > 0) gives a real
+    A and a float64 F, so expm runs in real arithmetic; a complex map keeps
+    complex arithmetic.
     """
     import scipy.linalg as sla
 
     cmap.require_canonical()
     st = cmap.matrix.T
+    if not np.any(st.imag):
+        st = st.real
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     rep = swap @ np.linalg.inv(st.conj()) @ swap @ st
     pivot = rep[0, 0]
@@ -654,7 +675,9 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
     The positivity witness is 1 / ||F^-1||_2^2 for the interior block of
     the triangular factor F, which stays accurate on these strongly graded
     blocks where an eigensolver on rho itself loses all digits (Demmel &
-    Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).
+    Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)). For a real map
+    and real parameters the whole check, the products, the triangular solve
+    and the SVD behind the 2-norm, runs in float64; otherwise in complex128.
 
     Raises ValueError when 1 - 4 alpha beta is not real: the frequency is
     then complex and no metric with rho H = H^dag rho exists.

@@ -367,7 +367,7 @@ class TestTableCache:
         runs = []
         for clear in (True, False):
             if clear:
-                for table in self.tables():
+                for table in self.tables() + (fock._pair_products,):
                     table.cache_clear()
             runs.append(assemble(form, trunc)[:3] + (fock._parity_eigenvalues(form, trunc, 4),))
         for cold, warm in zip(*runs):
@@ -395,6 +395,51 @@ class TestTableCache:
             table.cache_clear()
         assert all(i.maxsize == i.currsize == 8 for i in info)
         assert retained < 8e6
+
+    def test_pair_table_filled_once_read_only_and_equal_to_fresh_products(self, rng):
+        form, trunc = seeded_form(rng, 2, False), FockTruncation(2, 6)
+        fock._pair_products.cache_clear()
+        first = assemble(form, trunc)
+        table = fock._pair_products(trunc)
+        stored = {pair: list(products) for pair, products in table.items()}
+        # a dense form needs every pair once
+        assert sorted(stored) == [(i, j) for i in range(4) for j in range(4)]
+        second = assemble(form, trunc)
+        assert fock._pair_products(trunc) is table
+        maps = fock._ladder_maps(trunc)
+        for pair, products in table.items():
+            assert all(a is b for a, b in zip(products, stored[pair]))
+            for have, want in zip(products, fock._product(maps, pair)):
+                assert not have.flags.writeable and have.dtype == want.dtype
+                assert np.array_equal(have, want)
+            with pytest.raises(ValueError, match="read-only"):
+                products[0][0] = products[0][0]
+        for a, b in zip(first, second):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_pair_table_retains_under_15_mb_at_the_cap(self, rng):
+        # dense forms on 9 truncations of 3000 to 4096 states, K = 1 to 6: only the last two
+        # are kept, K = 5 with 100 pairs and K = 6 with 144, which retain 13.1 MB of
+        # int64 rows and cols and float64 weights
+        truncs = [FockTruncation(k, c) for k, c in
+                  [(1, 4096), (1, 4000), (2, 64), (2, 63), (3, 16), (3, 15), (4, 8), (5, 5), (6, 4)]]
+        forms = [QuadraticForm(BosonBasis(t.n_modes), random_symmetric(rng, 2 * t.n_modes))
+                 for t in truncs]
+        fock._pair_products.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for form, trunc in zip(forms, truncs):
+                assemble(form, trunc)
+            fock._ladder_maps.cache_clear()  # leaves the pair tables alone in what is retained
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        info = fock._pair_products.cache_info()
+        sizes = [len(fock._pair_products(trunc)) for trunc in truncs[-2:]]
+        fock._pair_products.cache_clear()
+        assert info.maxsize == info.currsize == 2 and sizes == [100, 144]
+        assert retained < 15e6
 
 
 class TestOracleEigenvalues:
@@ -1348,6 +1393,46 @@ class TestVerifyMetric:
         assert exact.relative_residual < 16 * np.finfo(float).eps
         nearby = bogoliubov_map(OneModeParams(alpha, 0.9 * beta), 1.0)
         assert verify_metric(params, nearby, trunc).relative_residual > 1e-6
+
+    @pytest.mark.parametrize("alpha,beta,dtype", [
+        (0.3, 0.5, np.float64),
+        # 1 - 4 alpha beta = 0.7 is real, the map is not
+        (0.2 + 0.1j, 0.3 - 0.15j, np.complex128),
+    ], ids=["real-map", "complex-map"])
+    def test_expm_runs_in_the_map_arithmetic(self, monkeypatch, alpha, beta, dtype):
+        import scipy.linalg
+
+        dtypes, expm = [], scipy.linalg.expm
+
+        def recording(matrix):
+            dtypes.append(matrix.dtype)
+            return expm(matrix)
+
+        monkeypatch.setattr(scipy.linalg, "expm", recording)
+        params = OneModeParams(alpha, beta)
+        report = verify_metric(params, bogoliubov_map(params, 1.0), FockTruncation(1, 40))
+        assert dtypes == [dtype]
+        assert report.relative_residual < 16 * EPS and report.min_metric_eigenvalue > 0.0
+
+    @pytest.mark.parametrize("cutoff", [40, 60])
+    def test_real_path_matches_a_complex_build(self, cutoff):
+        # the same map sent down the complex path by an imaginary part of 1e-300, which
+        # moves no real part. Factor entries agree
+        # to 2.4e-14 relative; the witness to 8.5e-13 at cutoff 40 and 2.7e-9 at 60, where
+        # both read about 3.5e-8 above the 60-digit value 0.472962183667 of mpmath
+        params, trunc = OneModeParams(0.3, 0.5), FockTruncation(1, cutoff)
+        real_map = bogoliubov_map(params, 1.0)
+        complex_map = CanonicalMap(real_map.matrix + 1e-300j)
+        real, complex_ = (verify_metric(params, cmap, trunc) for cmap in (real_map, complex_map))
+        factor, reference = (fock._metric_factor(cmap, trunc) for cmap in (real_map, complex_map))
+        assert factor.dtype == np.float64 and reference.dtype == np.complex128
+        nonzero = reference != 0
+        assert np.array_equal(factor != 0, nonzero)
+        assert np.max(np.abs(factor - reference)[nonzero] / np.abs(reference[nonzero])) < 1e-12
+        assert real.interior_size == complex_.interior_size == cutoff - 2
+        assert max(real.relative_residual, complex_.relative_residual) < 16 * EPS
+        witness = complex_.min_metric_eigenvalue
+        assert abs(real.min_metric_eigenvalue - witness) < 1e-7 * witness
 
     def test_residual_profile_is_the_max_over_each_leading_block(self):
         params = OneModeParams(0.3, 0.5)
