@@ -3,9 +3,12 @@
 Every quadratic form can be assembled on the product Fock space with each
 mode cut off at nmax levels, as COO triplets composed term by term from
 the single-operator index maps of the basis' occupation table; no dense
-full-size matrix is formed. Its spectrum is an oracle for the
-ladder-operator predictions that knows nothing about the algebraic
-construction. Where a number scaling makes the form Hermitian
+full-size matrix is formed. FockTruncation alone knows the basis layout:
+every index table reads the states through its occupations() and finds a
+moved state by its rank(). The assembled operator's spectrum is an oracle
+for the ladder-operator predictions that knows nothing about the
+algebraic construction, and verify_adjoint_action takes the commutators
+of that same operator. Where a number scaling makes the form Hermitian
 (_hermitian_balance), that similar form is assembled instead; the
 untruncated spectrum need not be real for that. Every quadratic term
 changes the total boson number by 0 or +/-2, so the operator is
@@ -106,8 +109,16 @@ class FockTruncation:
         """(dimension, n_modes) table of the basis states' occupations, mode 1 slowest."""
         return np.indices((self.cutoff,) * self.n_modes).reshape(self.n_modes, -1).T
 
-    def grown(self, stride: int) -> "FockTruncation":
-        """Truncation `stride` levels larger under the same cap, for a convergence re-run."""
+    def rank(self, occ: np.ndarray) -> np.ndarray:
+        """Basis index of each occupation row (..., n_modes), or -1 for a state outside the basis."""
+        occ = np.asarray(occ)
+        inside = np.all((occ >= 0) & (occ < self.cutoff), axis=-1)
+        return np.where(inside, occ @ self.cutoff ** np.arange(self.n_modes)[::-1], -1)
+
+    def grown(self) -> "FockTruncation":
+        """Truncation for a convergence re-run under the same cap: the cutoff grown by 20 for
+        one mode, by 5 otherwise."""
+        stride = 20 if self.n_modes == 1 else 5
         bigger = self.cutoff + stride
         if bigger ** self.n_modes > self.cap:
             raise _cap_error(self, stride, f"convergence re-run at cutoff {bigger}")
@@ -150,13 +161,11 @@ def _ladder_maps(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
     targets[i, n], or -1 where it leaves the table, with weight weights[i, n]
     (a|n> = sqrt(n) |n-1>, a^dag|n> = sqrt(n+1) |n+1>). Cached per truncation,
     read-only."""
-    occ = trunc.occupations().T
+    occ = trunc.occupations()
     mode, step = np.tile(np.arange(trunc.n_modes), 2), np.repeat([-1, 1], trunc.n_modes)
-    moved = occ[mode] + step[:, None]
-    shift = step * trunc.cutoff ** (trunc.n_modes - 1 - mode)  # mode 1 slowest
-    inside = (moved >= 0) & (moved < trunc.cutoff)
-    return _read_only(np.where(inside, np.arange(trunc.dimension) + shift[:, None], -1),
-                      np.sqrt(np.maximum(occ[mode], moved)))
+    moves = step[:, None] * np.eye(trunc.n_modes, dtype=occ.dtype)[mode]  # O_i's occupation change
+    return _read_only(trunc.rank(occ + moves[:, None, :]),
+                      np.sqrt(np.maximum(occ.T[mode], occ.T[mode] + step[:, None])))
 
 
 @lru_cache(maxsize=2)
@@ -188,7 +197,7 @@ def _blocks(trunc: FockTruncation, perm: tuple | None = None) -> tuple:
                 int(heads.sum()))
 
     if perm is not None:
-        image = trunc.occupations()[:, list(perm)] @ trunc.cutoff ** np.arange(trunc.n_modes)[::-1]
+        image = trunc.rank(trunc.occupations()[:, list(perm)])
         fixed, lead, rep = index == image, index <= image, np.minimum(index, image)
         half = np.sqrt(0.5)
         plus, minus = _read_only(np.where(fixed, 1.0, half), np.where(lead, half, -half))
@@ -511,10 +520,9 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
 
     The `levels` oracle eigenvalues of smallest real part are matched
     elementwise against the enumerated diagonal-form energies. The run is
-    repeated with the cutoff grown by 20 for one mode and by 5 per mode
-    otherwise; converged means every matched level moved by less than
-    tol/10. The re-run stays under trunc.cap: a truncation whose re-run
-    exceeds it raises ValueError before anything is assembled. Each run
+    repeated on trunc.grown(); converged means every matched level moved by
+    less than tol/10. The re-run stays under trunc.cap: a truncation whose
+    re-run exceeds it raises ValueError before anything is assembled. Each run
     assembles the full truncation once and solves its solve units apart,
     split and sized by the module docstring's size policy, so the report's
     eigenvalues hold just the lowest levels + 1 of a unit above the limit.
@@ -531,7 +539,7 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
         raise ValueError(
             f"cannot match {levels} levels from a {trunc.dimension}-state truncation"
         )
-    regrown = trunc.grown(20 if trunc.n_modes == 1 else 5)
+    regrown = trunc.grown()
     perm = _mode_exchange(form)
     balanced = _hermitian_balance(form, perm)
     observed = _parity_eigenvalues(form, trunc, levels, balanced, perm)
@@ -570,32 +578,31 @@ def verify_adjoint_action(form: QuadraticForm, trunc: FockTruncation) -> Adjoint
     The commutator identity is exact before truncation, so the residual
     matrix restricted to rows and columns with all mode indices below
     cutoff - 2 must vanish to round-off; the full-matrix residual keeps
-    the truncation-corrupted corner for inspection. Each residual is
-    composed from index maps as assemble composes H: the runs
-    G[p,q] O_p O_q O_i, -G[p,q] O_i O_p O_q and -h[j,i] O_j (the offset
-    commutes), a repeated position summed. No dense matrix is formed, so
-    memory is O(terms x dimension).
+    the truncation-corrupted corner for inspection. H is assemble's
+    operator, the one the spectrum check solves. Each residual is the runs
+    H O_i, -O_i H and -h[j,i] O_j, summed by position: O_i H sends each row
+    of H's triplets to its image under O_i, H O_i each column to its
+    preimage, which is its image under the conjugate O_(i+/-K) with the
+    same weight. No dense matrix is formed: memory is O(terms x dimension).
     """
-    if form.basis.n_modes != trunc.n_modes:
-        raise ValueError(
-            f"form has {form.basis.n_modes} mode(s) but truncation has {trunc.n_modes}"
-        )
-    g, rep, maps, dim = form.coeffs, adjoint_rep(form), _ladder_maps(trunc), trunc.dimension
+    rows, cols, values, dim = assemble(form, trunc)
+    rep, k = adjoint_rep(form), trunc.n_modes
+    targets, weights = maps = _ladder_maps(trunc)
     mask = trunc.interior_mask()
     interior, full = [], []
-    for i in range(2 * trunc.n_modes):
-        terms = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]  # typed with no term
-        for p, q in zip(*np.nonzero(g)):
-            for sign, indices in ((1.0, (p, q, i)), (-1.0, (i, p, q))):
-                rows, cols, weights = _product(maps, indices)
-                terms.append((rows, cols, sign * g[p, q] * weights))
+    for i in range(2 * k):
+        conj = (i + k) % (2 * k)
+        before, after = targets[conj][cols], targets[i][rows]  # H O_i, O_i H
+        right, left = before >= 0, after >= 0
+        terms = [(rows[right], before[right], values[right] * weights[conj][cols[right]]),
+                 (after[left], cols[left], -weights[i][rows[left]] * values[left])]
         for j in np.flatnonzero(rep[:, i]):
-            rows, cols, weights = _product(maps, (j,))
-            terms.append((rows, cols, -rep[j, i] * weights))
-        rows, cols, values = (np.concatenate(column) for column in zip(*terms))
-        keys, slot = np.unique(rows * dim + cols, return_inverse=True)
-        sums = np.abs(np.bincount(slot, values.real, keys.size)
-                      + 1j * np.bincount(slot, values.imag, keys.size))
+            one_rows, one_cols, one_weights = _product(maps, (j,))
+            terms.append((one_rows, one_cols, -rep[j, i] * one_weights))
+        term_rows, term_cols, term_values = (np.concatenate(column) for column in zip(*terms))
+        keys, slot = np.unique(term_rows * dim + term_cols, return_inverse=True)
+        sums = np.abs(np.bincount(slot, term_values.real, keys.size)
+                      + 1j * np.bincount(slot, term_values.imag, keys.size))
         full.append(float(np.max(sums, initial=0.0)))
         interior.append(float(np.max(sums[mask[keys // dim] & mask[keys % dim]], initial=0.0)))
     return AdjointActionReport(tuple(interior), tuple(full))

@@ -322,6 +322,20 @@ class TestIndexMaps:
             dropped += trunc.dimension - got[0].size
         assert dropped > 0
 
+    @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4), (4, 3)])
+    def test_rank_inverts_the_occupation_table(self, n_modes, cutoff):
+        trunc = FockTruncation(n_modes, cutoff)
+        occ = trunc.occupations()
+        assert trunc.rank(occ).tolist() == list(range(trunc.dimension))
+        assert trunc.rank(np.stack([occ, occ[::-1]])).tolist() == [
+            list(range(trunc.dimension)), list(range(trunc.dimension))[::-1]]
+        # every state pushed out of the box in one mode, below 0 or to the cutoff
+        for mode in range(n_modes):
+            for level in (-1, cutoff):
+                outside = occ.copy()
+                outside[:, mode] = level
+                assert trunc.rank(outside).tolist() == [-1] * trunc.dimension
+
 
 def leaves(tables):
     """Every array and size in a cached table, nested tuples walked, a None coefficient
@@ -1184,21 +1198,27 @@ class TestVerifySpectrum:
     def test_rerun_respects_cap(self, monkeypatch):
         form = two_mode(TwoModeParams(0.1, 0.2, 0.3))
         trunc = FockTruncation(2, 10, cap=100)
-        assert trunc.grown(0).cap == 100
         calls = []
         monkeypatch.setattr(fock, "assemble", lambda *args: calls.append(args))
         # the re-run at cutoff 15 needs 225 states; a start at 5 re-runs at 10
         with pytest.raises(ValueError, match="with that re-run is 5$"):
             verify_spectrum(form, decompose(form), 3, trunc)
         assert calls == []
+        assert FockTruncation(2, 5, cap=100).grown() == FockTruncation(2, 10, cap=100)
 
     def test_rerun_over_cap_names_the_cap_it_needs(self):
         # no cutoff >= 2 has a re-run under these caps
         with pytest.raises(ValueError, match="no starting cutoff .* needs cap 22$"):
-            FockTruncation(1, 10, cap=20).grown(20)
+            FockTruncation(1, 10, cap=20).grown()
         with pytest.raises(ValueError, match="no starting cutoff .* needs cap 49$"):
-            FockTruncation(2, 3, cap=20).grown(5)
-        FockTruncation(2, 2, cap=49).grown(5)
+            FockTruncation(2, 3, cap=20).grown()
+        FockTruncation(2, 2, cap=49).grown()
+
+    @pytest.mark.parametrize("n_modes,cutoff,regrown", [(1, 10, 30), (2, 10, 15), (3, 4, 9)])
+    def test_rerun_grows_one_mode_by_20_and_more_modes_by_5(self, n_modes, cutoff, regrown):
+        # the cap is kept; a re-run that fills it exactly is allowed
+        cap = regrown ** n_modes
+        assert FockTruncation(n_modes, cutoff, cap).grown() == FockTruncation(n_modes, regrown, cap)
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("n_modes,cutoff", [(1, 12), (2, 6), (3, 4)])
@@ -1247,7 +1267,7 @@ class TestVerifySpectrum:
         balanced = fock._hermitian_balance(form)
         calls = counted_dense_solves(monkeypatch)
         unsplit = fock._parity_eigenvalues(form, trunc, levels, balanced)
-        fock._parity_eigenvalues(form, trunc.grown(5), levels, balanced)
+        fock._parity_eigenvalues(form, trunc.grown(), levels, balanced)
         assert calls == solves
         calls.clear()
         report = verify_spectrum(form, decompose(form), levels, trunc, tol=tol)
