@@ -1,7 +1,8 @@
 """Brute-force verification in a truncated number basis.
 
-Every quadratic form can be assembled on the product Fock space with each
-mode cut off at nmax levels, as COO triplets composed term by term from
+Every quadratic form can be assembled, in normal order so that each term
+is exact on every kept state, on the product Fock space with each mode
+cut off at nmax levels, as COO triplets composed term by term from
 the single-operator index maps of the basis' occupation table; no dense
 full-size matrix is formed. FockTruncation alone knows the basis layout:
 every index table reads the states through its occupations() and finds a
@@ -39,7 +40,7 @@ and kept, read-only, for the 8 most recently used ones (under 1 MB each
 at the 4096-state cap). The pair products O_i O_j that assemble scales
 are stored, read-only, the first time a pair is needed, and kept for the
 2 most recently used truncations, a run and its re-run (a dense six-mode
-form at the cap fills one with 144 pairs, 8.1 MB).
+form at the cap fills one with 108 pairs, 6.0 MB).
 
 scipy is imported inside the functions that need it, the Arnoldi solve
 and the metric check, so importing this module, and every dense oracle
@@ -241,18 +242,26 @@ def _product(maps: tuple, indices) -> tuple:
 
 
 def assemble(form: QuadraticForm, trunc: FockTruncation) -> tuple:
-    """COO triplets (rows, cols, values, dimension) of sum_ij G[i,j] M_i M_j + offset * I.
+    """COO triplets (rows, cols, values, dimension) of sum_ij G[i,j] M_i M_j + offset * I,
+    with G and the offset those of the form's normal order.
 
-    One run of entries per nonzero G[i,j] in np.nonzero order, then the offset
-    on the diagonal; a position repeated across runs sums in this order (_dense).
-    values are float64 when every coefficient and the offset are real, else complex128.
-    A run is G[i,j] times the weights of the truncation's stored O_i O_j (_pair_products).
+    Normal order writes each a_i a_j^dag as a_j^dag a_i + delta_ij: G's upper right block
+    moves, transposed, onto its lower left one and its trace onto the offset. The operator
+    is the same before truncation, and every term is then exact on each kept state, where
+    a a^dag would give 0 at the cutoff, not n + 1. One run of entries per nonzero G[i,j]
+    in np.nonzero order, then the offset on the diagonal; a position repeated across runs
+    sums in this order (_dense). values are float64 when every coefficient and the offset
+    are real, else complex128. A run is G[i,j] times the weights of the truncation's
+    stored O_i O_j (_pair_products).
     """
     if form.basis.n_modes != trunc.n_modes:
         raise ValueError(
             f"form has {form.basis.n_modes} mode(s) but truncation has {trunc.n_modes}"
         )
-    g, offset = form.coeffs, form.offset
+    k, g = trunc.n_modes, form.coeffs.copy()
+    g[k:, :k] += g[:k, k:].T
+    offset = form.offset + np.trace(g[:k, k:])
+    g[:k, k:] = 0
     if not np.any(g.imag) and offset.imag == 0:
         g, offset = g.real, offset.real
     pairs = _pair_products(trunc)

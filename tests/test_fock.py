@@ -52,6 +52,18 @@ def assemble_dense(form, trunc):
     return coo_array((values, (rows, cols)), shape=(dim, dim)).toarray()
 
 
+def normal_order(form):
+    """The form's (G, offset) in the order assemble builds it: each a_i a_j^dag term (i
+    lowering, j raising) rewritten as a_j^dag a_i, plus its coefficient where j raises mode i
+    (the trace of G's upper right block, summed as np.trace sums it)."""
+    k = form.basis.n_modes
+    g = form.coeffs.copy()
+    for i, j in itertools.product(range(k), range(k, 2 * k)):
+        g[j, i] += g[i, j]
+        g[i, j] = 0.0
+    return g, form.offset + np.trace(form.coeffs[:k, k:])
+
+
 def embedded_ladders(n_modes, cutoff):
     """Independent reference for (a_1..a_K, a_1^dag..a_K^dag): the one-mode a embedded
     by np.kron, mode 1 leftmost."""
@@ -185,8 +197,8 @@ class TestAssemble:
 
     @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4)])
     def test_matches_products_of_embedded_operators(self, rng, n_modes, cutoff):
-        # reference: sum_ij G[i,j] M_i M_j + offset * I from the full embedded
-        # operators, in the same summation order; the result must agree bit for bit
+        # reference: sum_ij G[i,j] M_i M_j + offset * I in normal order from the full
+        # embedded operators, in the same summation order; the result must agree bit for bit
         size = 2 * n_modes
         for _ in range(3):
             g = random_symmetric(rng, size)
@@ -196,12 +208,13 @@ class TestAssemble:
             form = QuadraticForm(BosonBasis(n_modes), g, offset=complex(*rng.normal(size=2)))
             trunc = FockTruncation(n_modes, cutoff)
             ops = embedded_ladders(n_modes, cutoff)
+            g, offset = normal_order(form)
             expected = np.zeros((trunc.dimension, trunc.dimension), dtype=complex)
             for i in range(size):
                 for j in range(size):
-                    if form.coeffs[i, j] != 0:
-                        expected += form.coeffs[i, j] * (ops[i] @ ops[j])
-            expected += form.offset * np.eye(trunc.dimension)
+                    if g[i, j] != 0:
+                        expected += g[i, j] * (ops[i] @ ops[j])
+            expected += offset * np.eye(trunc.dimension)
             assert np.array_equal(assemble_dense(form, trunc), expected)
 
     @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4)])
@@ -257,16 +270,16 @@ class TestAssemble:
 
     def test_triplets_in_term_order(self):
         # one run of entries per nonzero coefficient in np.nonzero order, then
-        # the offset on the diagonal
+        # the offset on the diagonal; in normal order 0.5 a a^dag + 0.5 a^dag a is
+        # a^dag a + 0.5
         form = QuadraticForm(BosonBasis(1), np.array([[0.0, 0.5], [0.5, 2.0]]), offset=0.25)
         rows, cols, values, dim = assemble(form, FockTruncation(1, 4))
         assert dim == 4
         maps = fock._ladder_maps(FockTruncation(1, 4))
-        runs = [fock._product(maps, pair) for pair in ((0, 1), (1, 0), (1, 1))]
+        runs = [fock._product(maps, pair) for pair in ((1, 0), (1, 1))]
         expected_rows = np.concatenate([run[0] for run in runs] + [np.arange(4)])
         expected_cols = np.concatenate([run[1] for run in runs] + [np.arange(4)])
-        expected_values = np.concatenate([0.5 * runs[0][2], 0.5 * runs[1][2],
-                                          2.0 * runs[2][2], np.full(4, 0.25)])
+        expected_values = np.concatenate([1.0 * runs[0][2], 2.0 * runs[1][2], np.full(4, 0.75)])
         assert rows.tolist() == expected_rows.tolist()
         assert cols.tolist() == expected_cols.tolist()
         assert values.dtype == np.float64 and np.array_equal(values, expected_values)
@@ -289,8 +302,9 @@ def reference_product(trunc, indices):
 
 
 def reference_dense(form, trunc):
-    """sum_ij G[i,j] M_i M_j + offset * I scattered term by term from reference_product."""
-    g, offset = form.coeffs, form.offset
+    """sum_ij G[i,j] M_i M_j + offset * I in normal order, scattered term by term from
+    reference_product."""
+    g, offset = normal_order(form)
     if not np.any(g.imag) and offset.imag == 0:
         g, offset = g.real, offset.real
     out = np.zeros((trunc.dimension, trunc.dimension), dtype=g.dtype)
@@ -416,8 +430,8 @@ class TestTableCache:
         first = assemble(form, trunc)
         table = fock._pair_products(trunc)
         stored = {pair: list(products) for pair, products in table.items()}
-        # a dense form needs every pair once
-        assert sorted(stored) == [(i, j) for i in range(4) for j in range(4)]
+        # a dense form needs every pair once, but a lowering operator left of a raising one
+        assert sorted(stored) == [(i, j) for i in range(4) for j in range(4) if not i < 2 <= j]
         second = assemble(form, trunc)
         assert fock._pair_products(trunc) is table
         maps = fock._ladder_maps(trunc)
@@ -433,8 +447,8 @@ class TestTableCache:
 
     def test_pair_table_retains_under_15_mb_at_the_cap(self, rng):
         # dense forms on 9 truncations of 3000 to 4096 states, K = 1 to 6: only the last two
-        # are kept, K = 5 with 100 pairs and K = 6 with 144, which retain 13.1 MB of
-        # int64 rows and cols and float64 weights
+        # are kept, K = 5 with 75 pairs and K = 6 with 108 (normal order needs no a_i a_j^dag),
+        # which retain 9.7 MB of int64 rows and cols and float64 weights
         truncs = [FockTruncation(k, c) for k, c in
                   [(1, 4096), (1, 4000), (2, 64), (2, 63), (3, 16), (3, 15), (4, 8), (5, 5), (6, 4)]]
         forms = [QuadraticForm(BosonBasis(t.n_modes), random_symmetric(rng, 2 * t.n_modes))
@@ -452,7 +466,7 @@ class TestTableCache:
         info = fock._pair_products.cache_info()
         sizes = [len(fock._pair_products(trunc)) for trunc in truncs[-2:]]
         fock._pair_products.cache_clear()
-        assert info.maxsize == info.currsize == 2 and sizes == [100, 144]
+        assert info.maxsize == info.currsize == 2 and sizes == [75, 108]
         assert retained < 15e6
 
 
