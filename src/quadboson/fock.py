@@ -1,15 +1,12 @@
 """Brute-force verification in a truncated number basis.
 
-Every quadratic form can be assembled, in normal order so that each term
-is exact on every kept state, on the product Fock space with each mode
-cut off at nmax levels, as COO triplets composed term by term from
-the single-operator index maps of the basis' occupation table; no dense
-full-size matrix is formed. FockTruncation alone knows the basis layout:
-every index table reads the states through its occupations() and finds a
-moved state by its rank(). The assembled operator's spectrum is an oracle
-for the ladder-operator predictions that knows nothing about the
-algebraic construction, and verify_adjoint_action takes the commutators
-of that same operator. Where a number scaling makes the form Hermitian
+Every quadratic form can be assembled in normal order on the product Fock
+space with each mode cut off at nmax levels, as COO triplets composed
+term by term from single-operator index maps, which read the basis
+layout through FockTruncation alone; no dense full-size matrix is formed.
+Its spectrum is an oracle for the ladder-operator predictions that knows
+nothing about the algebraic construction, and verify_adjoint_action
+checks the same operator. Where a number scaling makes the form Hermitian
 (_hermitian_balance), that similar form is assembled instead; the
 untruncated spectrum need not be real for that. Every quadratic term
 changes the total boson number by 0 or +/-2, so the operator is
@@ -43,8 +40,8 @@ are stored, read-only, the first time a pair is needed, and kept for the
 form at the cap fills one with 108 pairs, 6.0 MB).
 
 scipy is imported inside the functions that need it, the Arnoldi solve
-and the metric check, so importing this module, and every dense oracle
-solve, loads numpy only.
+and the metric factor's expm, so importing this module, and every dense
+oracle solve, loads numpy only.
 """
 
 from __future__ import annotations
@@ -111,14 +108,12 @@ class FockTruncation:
         return np.indices((self.cutoff,) * self.n_modes).reshape(self.n_modes, -1).T
 
     def rank(self, occ: np.ndarray) -> np.ndarray:
-        """Basis index of each occupation row (..., n_modes), or -1 for a state outside the basis."""
-        occ = np.asarray(occ)
+        """Basis index of each occupation row (..., n_modes), or -1 for a state outside it."""
         inside = np.all((occ >= 0) & (occ < self.cutoff), axis=-1)
         return np.where(inside, occ @ self.cutoff ** np.arange(self.n_modes)[::-1], -1)
 
     def grown(self) -> "FockTruncation":
-        """Truncation for a convergence re-run under the same cap: the cutoff grown by 20 for
-        one mode, by 5 otherwise."""
+        """Truncation of a convergence re-run, same cap: cutoff + 20 for one mode, else + 5."""
         stride = 20 if self.n_modes == 1 else 5
         bigger = self.cutoff + stride
         if bigger ** self.n_modes > self.cap:
@@ -242,17 +237,14 @@ def _product(maps: tuple, indices) -> tuple:
 
 
 def assemble(form: QuadraticForm, trunc: FockTruncation) -> tuple:
-    """COO triplets (rows, cols, values, dimension) of sum_ij G[i,j] M_i M_j + offset * I,
-    with G and the offset those of the form's normal order.
+    """COO triplets (rows, cols, values, dimension) of sum_ij G[i,j] M_i M_j + offset * I.
 
-    Normal order writes each a_i a_j^dag as a_j^dag a_i + delta_ij: G's upper right block
-    moves, transposed, onto its lower left one and its trace onto the offset. The operator
-    is the same before truncation, and every term is then exact on each kept state, where
-    a a^dag would give 0 at the cutoff, not n + 1. One run of entries per nonzero G[i,j]
-    in np.nonzero order, then the offset on the diagonal; a position repeated across runs
-    sums in this order (_dense). values are float64 when every coefficient and the offset
-    are real, else complex128. A run is G[i,j] times the weights of the truncation's
-    stored O_i O_j (_pair_products).
+    G and the offset are the form's in normal order: a_i a_j^dag = a_j^dag a_i + delta_ij, so
+    that every term is exact on each kept state (a a^dag gives 0, not n + 1, at the cutoff).
+    One run of entries per nonzero G[i,j] in np.nonzero order, then the offset
+    on the diagonal; a position repeated across runs sums in this order (_dense).
+    values are float64 when every coefficient and the offset are real, else complex128.
+    A run is G[i,j] times the weights of the truncation's stored O_i O_j (_pair_products).
     """
     if form.basis.n_modes != trunc.n_modes:
         raise ValueError(
@@ -595,8 +587,7 @@ def verify_adjoint_action(form: QuadraticForm, trunc: FockTruncation) -> Adjoint
     same weight. No dense matrix is formed: memory is O(terms x dimension).
     """
     rows, cols, values, dim = assemble(form, trunc)
-    rep, k = adjoint_rep(form), trunc.n_modes
-    targets, weights = maps = _ladder_maps(trunc)
+    rep, (targets, weights), k = adjoint_rep(form), _ladder_maps(trunc), trunc.n_modes
     mask = trunc.interior_mask()
     interior, full = [], []
     for i in range(2 * k):
@@ -606,8 +597,8 @@ def verify_adjoint_action(form: QuadraticForm, trunc: FockTruncation) -> Adjoint
         terms = [(rows[right], before[right], values[right] * weights[conj][cols[right]]),
                  (after[left], cols[left], -weights[i][rows[left]] * values[left])]
         for j in np.flatnonzero(rep[:, i]):
-            one_rows, one_cols, one_weights = _product(maps, (j,))
-            terms.append((one_rows, one_cols, -rep[j, i] * one_weights))
+            kept = np.flatnonzero(targets[j] >= 0)
+            terms.append((targets[j][kept], kept, -rep[j, i] * weights[j][kept]))
         term_rows, term_cols, term_values = (np.concatenate(column) for column in zip(*terms))
         keys, slot = np.unique(term_rows * dim + term_cols, return_inverse=True)
         sums = np.abs(np.bincount(slot, term_values.real, keys.size)
@@ -632,8 +623,8 @@ class MetricReport:
     ||rho_I||_inf ||H_I||_inf on that interior block, so an exact metric
     reads at round-off (5.6e-17 at alpha=0.3, beta=0.5, interior 38, where
     the real map is checked in real arithmetic).
-    min_metric_eigenvalue is the smallest eigenvalue of the interior
-    metric block (positive-definiteness witness).
+    min_metric_eigenvalue is the smallest eigenvalue of the interior metric
+    block (positive-definiteness witness; 5e-16 from mpmath at interior 58).
     """
 
     residual: float
@@ -689,17 +680,16 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
     padding is needed. The residual is reported on the interior block
     (default all levels below cutoff - 2, where the truncated H is exact).
     The positivity witness is 1 / ||F^-1||_2^2 for the interior block of
-    the triangular factor F, which stays accurate on these strongly graded
-    blocks where an eigensolver on rho itself loses all digits (Demmel &
-    Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)). For a real map
-    and real parameters the whole check, the products, the triangular solve
-    and the SVD behind the 2-norm, runs in float64; otherwise in complex128.
+    the triangular factor F, whose inverse is read off F entry by entry.
+    It stays accurate on these strongly graded blocks, where a triangular
+    solve loses 8 digits at nmax 60 and an eigensolver on rho itself all
+    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)). For a
+    real map and real parameters the whole check, the products and the SVD
+    behind the 2-norm, runs in float64; otherwise in complex128.
 
     Raises ValueError when 1 - 4 alpha beta is not real: the frequency is
     then complex and no metric with rho H = H^dag rho exists.
     """
-    import scipy.linalg as sla
-
     if trunc.n_modes != 1:
         raise ValueError("metric verification is defined for the one-mode model")
     disc = 1.0 - 4.0 * params.alpha * params.beta
@@ -723,8 +713,10 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
     mag = np.abs(resid)
     edges = np.maximum(np.tril(mag).max(axis=1), np.triu(mag).max(axis=0))
     profile = tuple(np.maximum.accumulate(edges).tolist())
-    inverse = sla.solve_triangular(factor[:interior, :interior], np.eye(interior), lower=True)
-    block = np.s_[:interior, :interior]
+    # F = exp(A a^dag^2) D, D = diag(F): F^-1[n + 2k, n] = (-1)^k F[n + 2k, n] / (D[n + 2k] D[n])
+    block, scale = np.s_[:interior, :interior], np.diag(factor)[:interior]
+    odd_k = np.subtract.outer(np.arange(interior), np.arange(interior)) % 4 == 2
+    inverse = np.where(odd_k, -factor[block], factor[block]) / np.outer(scale, scale)
     norms = np.linalg.norm(rho[block], np.inf) * np.linalg.norm(ham[block], np.inf)
     return MetricReport(
         residual=profile[interior - 1],

@@ -1357,7 +1357,46 @@ class TestVerifyAdjointAction:
         assert peak < 50e6
 
 
+def mpmath_witness(cmap, interior):
+    """1 / ||F^-1||_2^2 on the interior block, from 30-digit singular values of the closed-form
+    inverse factor <m| F^-1 |n> = E^-(m/2 + 1/4) <m| exp(-A a^dag^2) |n>, with A and E read off
+    the map's 2x2 representation at the same precision; even and odd levels apart."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        st = mp.matrix(cmap.matrix.T.tolist())
+        swap = mp.matrix([[0, 1], [1, 0]])
+        rep = swap * mp.inverse(st.conjugate()) * swap * st
+        e = 1 / mp.re(rep[0, 0])
+        a = -e * rep[1, 0] / 2
+        largest = 0
+        for parity in (0, 1):
+            levels = range(parity, interior, 2)
+            inverse = mp.matrix(len(levels))
+            for col, n in enumerate(levels):
+                for row in range(col, len(levels)):
+                    m, k = levels[row], row - col
+                    inverse[row, col] = ((-a) ** k / mp.factorial(k)
+                                         * mp.sqrt(mp.factorial(m) / mp.factorial(n))
+                                         * e ** -(mp.mpf(m) / 2 + mp.mpf(1) / 4))
+            largest = max(largest, max(mp.svd_c(inverse, compute_uv=False)))
+        return float(1 / largest ** 2)
+
+
 class TestVerifyMetric:
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.5), (0.2 + 0.1j, 0.3 - 0.15j)],
+                             ids=["real-map", "complex-map"])
+    def test_witness_matches_mpmath_at_nmax_60(self, alpha, beta):
+        # the interior block of F is strongly graded there: a triangular solve for F^-1
+        # lost 8 digits of the real map's witness (0.4729622015 against 0.47296218366730)
+        params = OneModeParams(alpha, beta)
+        cmap = bogoliubov_map(params, 1.0)
+        report = verify_metric(params, cmap, FockTruncation(1, 60))
+        reference = mpmath_witness(cmap, report.interior_size)
+        if alpha == 0.3:
+            assert abs(reference - 0.47296218366730) < 1e-13
+        assert abs(report.min_metric_eigenvalue - reference) <= 1e-12 * reference
+
     def test_weak_squeezing_deep_interior(self):
         params = OneModeParams(0.05, 0.05)
         cmap = bogoliubov_map(params, 1.0)
@@ -1451,9 +1490,9 @@ class TestVerifyMetric:
     @pytest.mark.parametrize("cutoff", [40, 60])
     def test_real_path_matches_a_complex_build(self, cutoff):
         # the same map sent down the complex path by an imaginary part of 1e-300, which
-        # moves no real part. Factor entries agree
-        # to 2.4e-14 relative; the witness to 8.5e-13 at cutoff 40 and 2.7e-9 at 60, where
-        # both read about 3.5e-8 above the 60-digit value 0.472962183667 of mpmath
+        # moves no real part. Factor entries agree to 2.4e-14 relative; the witness to
+        # 4.6e-16 at cutoff 40 and 1.3e-15 at 60, and both match mpmath
+        # (test_witness_matches_mpmath_at_nmax_60)
         params, trunc = OneModeParams(0.3, 0.5), FockTruncation(1, cutoff)
         real_map = bogoliubov_map(params, 1.0)
         complex_map = CanonicalMap(real_map.matrix + 1e-300j)
@@ -1466,7 +1505,7 @@ class TestVerifyMetric:
         assert real.interior_size == complex_.interior_size == cutoff - 2
         assert max(real.relative_residual, complex_.relative_residual) < 16 * EPS
         witness = complex_.min_metric_eigenvalue
-        assert abs(real.min_metric_eigenvalue - witness) < 1e-7 * witness
+        assert abs(real.min_metric_eigenvalue - witness) < 1e-13 * witness
 
     def test_residual_profile_is_the_max_over_each_leading_block(self):
         params = OneModeParams(0.3, 0.5)
