@@ -157,11 +157,9 @@ def _ladder_maps(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
     targets[i, n], or -1 where it leaves the table, with weight weights[i, n]
     (a|n> = sqrt(n) |n-1>, a^dag|n> = sqrt(n+1) |n+1>). Cached per truncation,
     read-only."""
-    occ = trunc.occupations()
-    mode, step = np.tile(np.arange(trunc.n_modes), 2), np.repeat([-1, 1], trunc.n_modes)
-    moves = step[:, None] * np.eye(trunc.n_modes, dtype=occ.dtype)[mode]  # O_i's occupation change
-    return _read_only(trunc.rank(occ + moves[:, None, :]),
-                      np.sqrt(np.maximum(occ.T[mode], occ.T[mode] + step[:, None])))
+    occ, unit = trunc.occupations(), np.eye(trunc.n_modes, dtype=int)
+    moved = occ + np.vstack([-unit, unit])[:, None, :]  # each O_i applied to every state
+    return _read_only(trunc.rank(moved), np.sqrt(np.vstack([occ.T, occ.T + 1])))
 
 
 @lru_cache(maxsize=2)
