@@ -622,7 +622,8 @@ class MetricReport:
     reads at round-off (5.6e-17 at alpha=0.3, beta=0.5, interior 38, where
     the real map is checked in real arithmetic).
     min_metric_eigenvalue is the smallest eigenvalue of the interior metric
-    block (positive-definiteness witness; 5e-16 from mpmath at interior 58).
+    block, the positive-definiteness witness (4.7e-16 relative to mpmath at
+    alpha=0.3, beta=0.5, interior 58).
     """
 
     residual: float
