@@ -35,9 +35,11 @@ the truncation alone, the single-operator maps and every solve unit's
 slots and coefficients, are built once per truncation (and transposition)
 and kept, read-only, for the 8 most recently used ones (under 1 MB each
 at the 4096-state cap). The pair products O_i O_j that assemble scales
-are stored, read-only, the first time a pair is needed, and kept for the
-2 most recently used truncations, a run and its re-run (a dense six-mode
-form at the cap fills one with 108 pairs, 6.0 MB).
+(_pair) are built the first time a pair is needed and kept, read-only,
+for the 128 most recently used pairs: a dense four-mode run and its re-run
+need 96. Each holds at most one entry of 24 bytes per basis state, so the
+128 take at most 12.6 MB at the cap (a dense six-mode form there fills
+108 of them with 6.0 MB).
 
 scipy is imported inside the functions that need it, the Arnoldi solve
 and the metric factor's expm, so importing this module, and every dense
@@ -162,15 +164,6 @@ def _ladder_maps(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(trunc.rank(moved), np.sqrt(np.vstack([occ.T, occ.T + 1])))
 
 
-@lru_cache(maxsize=2)
-def _pair_products(trunc: FockTruncation) -> dict:
-    """Table of truncated pair products O_i O_j, (i, j) -> (rows, cols, weights) from
-    _product, each stored read-only by assemble the first time it needs that pair. Kept
-    per truncation for the 2 most recently used ones: a spectrum check's run and its
-    grown() re-run."""
-    return {}
-
-
 @lru_cache(maxsize=8)
 def _blocks(trunc: FockTruncation, perm: tuple | None = None) -> tuple:
     """(whole, split) of the even and then the odd total-parity block, each a solve unit
@@ -218,20 +211,18 @@ def _mode_exchange(form: QuadraticForm) -> tuple | None:
     return None
 
 
-def _product(maps: tuple, indices) -> tuple:
-    """Truncated O_i O_j .. (0-based) as an index map (rows, cols, weights), from _ladder_maps.
-
-    Basis state cols[n] goes to rows[n] with weight weights[n], every other state to zero.
-    The rightmost operator acts first; a state pushed out of the table is dropped then.
-    """
-    targets, factors = maps
-    cols = np.arange(targets.shape[1])
-    rows, weights = cols, 1.0
-    for i in reversed(indices):
-        rows, weights = targets[i][rows], weights * factors[i][rows]
-        inside = rows >= 0
-        rows, cols, weights = rows[inside], cols[inside], weights[inside]
-    return rows, cols, weights
+@lru_cache(maxsize=128)
+def _pair(trunc: FockTruncation, i: int, j: int) -> tuple:
+    """Truncated O_i O_j (0-based, _ladder_maps order) as an index map (rows, cols, weights):
+    basis state cols[n] goes to rows[n] with weight weights[n], every other state to zero.
+    O_j acts first; a state pushed out of the table is dropped. Cached for the 128 most
+    recently used pairs, read-only."""
+    targets, factors = _ladder_maps(trunc)
+    cols = np.flatnonzero(targets[j] >= 0)
+    middle = targets[j][cols]
+    rows = targets[i][middle]
+    inside = rows >= 0
+    return _read_only(rows[inside], cols[inside], (factors[j][cols] * factors[i][middle])[inside])
 
 
 def assemble(form: QuadraticForm, trunc: FockTruncation) -> tuple:
@@ -242,7 +233,8 @@ def assemble(form: QuadraticForm, trunc: FockTruncation) -> tuple:
     One run of entries per nonzero G[i,j] in np.nonzero order, then the offset
     on the diagonal; a position repeated across runs sums in this order (_dense).
     values are float64 when every coefficient and the offset are real, else complex128.
-    A run is G[i,j] times the weights of the truncation's stored O_i O_j (_pair_products).
+    A run is G[i,j] times the weights of the index map of O_i O_j (_pair), kept for the 128
+    most recently used pairs, at most 12.6 MB at the 4096-state cap.
     """
     if form.basis.n_modes != trunc.n_modes:
         raise ValueError(
@@ -254,12 +246,9 @@ def assemble(form: QuadraticForm, trunc: FockTruncation) -> tuple:
     g[:k, k:] = 0
     if not np.any(g.imag) and offset.imag == 0:
         g, offset = g.real, offset.real
-    pairs = _pair_products(trunc)
     terms = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, g.dtype))]  # typed even with no term
     for i, j in zip(*np.nonzero(g)):
-        if (i, j) not in pairs:
-            pairs[i, j] = _read_only(*_product(_ladder_maps(trunc), (i, j)))
-        rows, cols, weights = pairs[i, j]
+        rows, cols, weights = _pair(trunc, i, j)
         terms.append((rows, cols, g[i, j] * weights))
     if offset != 0:
         diagonal = np.arange(trunc.dimension)

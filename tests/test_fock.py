@@ -22,6 +22,7 @@ from quadboson import (
     adjoint_rep,
     assemble,
     bogoliubov_map,
+    build_quadratic,
     decompose,
     one_mode,
     oracle_eigenvalues,
@@ -78,9 +79,8 @@ def embedded_ladders(n_modes, cutoff):
 
 def scattered_ladders(trunc):
     """The library's own one-operator index maps, each scattered into a dense matrix."""
-    maps = fock._ladder_maps(trunc)
-    return [fock._dense(*fock._product(maps, [i]), trunc.dimension)
-            for i in range(2 * trunc.n_modes)]
+    return [fock._dense(target[target >= 0], np.flatnonzero(target >= 0), weight[target >= 0],
+                        trunc.dimension) for target, weight in zip(*fock._ladder_maps(trunc))]
 
 
 def triplets(matrix):
@@ -275,8 +275,7 @@ class TestAssemble:
         form = QuadraticForm(BosonBasis(1), np.array([[0.0, 0.5], [0.5, 2.0]]), offset=0.25)
         rows, cols, values, dim = assemble(form, FockTruncation(1, 4))
         assert dim == 4
-        maps = fock._ladder_maps(FockTruncation(1, 4))
-        runs = [fock._product(maps, pair) for pair in ((1, 0), (1, 1))]
+        runs = [fock._pair(FockTruncation(1, 4), *pair) for pair in ((1, 0), (1, 1))]
         expected_rows = np.concatenate([run[0] for run in runs] + [np.arange(4)])
         expected_cols = np.concatenate([run[1] for run in runs] + [np.arange(4)])
         expected_values = np.concatenate([1.0 * runs[0][2], 2.0 * runs[1][2], np.full(4, 0.75)])
@@ -317,24 +316,23 @@ def reference_dense(form, trunc):
 
 
 class TestIndexMaps:
-    """Maps composed from the single-operator maps against the occupation-table walk."""
+    """The single-operator maps and the pair maps composed from them against the
+    occupation-table walk."""
 
     @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4), (4, 3)])
     def test_products_match_occupation_walk(self, n_modes, cutoff):
         trunc = FockTruncation(n_modes, cutoff)
-        maps = fock._ladder_maps(trunc)
         ops = range(2 * n_modes)
-        products = [[i] for i in ops] + [[i, j] for i in ops for j in ops]
-        # three raisings leave the table from every state at cutoff 3
-        products += [list(triple) for triple in itertools.product(ops, repeat=3)]
-        dropped = 0
-        for indices in products:
-            expected = reference_product(trunc, indices)
-            got = fock._product(maps, indices)
-            for want, have in zip(expected, got):
-                assert have.dtype == want.dtype and np.array_equal(have, want), indices
-            dropped += trunc.dimension - got[0].size
-        assert dropped > 0
+        for i, (target, weight) in enumerate(zip(*fock._ladder_maps(trunc))):
+            kept = np.flatnonzero(target >= 0)
+            for want, have in zip(reference_product(trunc, [i]),
+                                  (target[kept], kept, weight[kept])):
+                assert have.dtype == want.dtype and np.array_equal(have, want), i
+        for i, j in itertools.product(ops, ops):
+            for want, have in zip(reference_product(trunc, [i, j]), fock._pair(trunc, i, j)):
+                assert have.dtype == want.dtype and np.array_equal(have, want), (i, j)
+        # two raisings of mode 1 leave the table from its top two levels
+        assert fock._pair(trunc, n_modes, n_modes)[0].size < trunc.dimension
 
     @pytest.mark.parametrize("n_modes,cutoff", [(1, 9), (2, 6), (3, 4), (4, 3)])
     def test_rank_inverts_the_occupation_table(self, n_modes, cutoff):
@@ -395,7 +393,7 @@ class TestTableCache:
         runs = []
         for clear in (True, False):
             if clear:
-                for table in self.tables() + (fock._pair_products,):
+                for table in self.tables() + (fock._pair,):
                     table.cache_clear()
             runs.append(assemble(form, trunc)[:3] + (fock._parity_eigenvalues(form, trunc, 4),))
         for cold, warm in zip(*runs):
@@ -424,50 +422,74 @@ class TestTableCache:
         assert all(i.maxsize == i.currsize == 8 for i in info)
         assert retained < 8e6
 
-    def test_pair_table_filled_once_read_only_and_equal_to_fresh_products(self, rng):
+    def test_pair_maps_built_once_read_only_and_equal_to_fresh_ones(self, rng):
         form, trunc = seeded_form(rng, 2, False), FockTruncation(2, 6)
-        fock._pair_products.cache_clear()
-        first = assemble(form, trunc)
-        table = fock._pair_products(trunc)
-        stored = {pair: list(products) for pair, products in table.items()}
         # a dense form needs every pair once, but a lowering operator left of a raising one
-        assert sorted(stored) == [(i, j) for i in range(4) for j in range(4) if not i < 2 <= j]
+        pairs = [(i, j) for i in range(4) for j in range(4) if not i < 2 <= j]
+        fock._pair.cache_clear()
+        first = assemble(form, trunc)
+        stored = {pair: fock._pair(trunc, *pair) for pair in pairs}
         second = assemble(form, trunc)
-        assert fock._pair_products(trunc) is table
-        maps = fock._ladder_maps(trunc)
-        for pair, products in table.items():
-            assert all(a is b for a, b in zip(products, stored[pair]))
-            for have, want in zip(products, fock._product(maps, pair)):
+        info = fock._pair.cache_info()
+        assert info.misses == info.currsize == len(pairs) == 12
+        for (i, j), products in stored.items():
+            assert all(a is b for a, b in zip(products, fock._pair(trunc, i, j)))
+            for have, want in zip(products, fock._pair.__wrapped__(trunc, i, j)):
                 assert not have.flags.writeable and have.dtype == want.dtype
                 assert np.array_equal(have, want)
             with pytest.raises(ValueError, match="read-only"):
                 products[0][0] = products[0][0]
+        assert fock._pair.cache_info().misses == len(pairs)
         for a, b in zip(first, second):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
-    def test_pair_table_retains_under_15_mb_at_the_cap(self, rng):
-        # dense forms on 9 truncations of 3000 to 4096 states, K = 1 to 6: only the last two
-        # are kept, K = 5 with 75 pairs and K = 6 with 108 (normal order needs no a_i a_j^dag),
-        # which retain 9.7 MB of int64 rows and cols and float64 weights
+    def test_pair_maps_retain_under_15_mb_at_the_cap(self, rng):
+        # dense forms on 9 truncations of 3000 to 4096 states, K = 1 to 6, need 3K^2 pairs
+        # each (normal order needs no a_i a_j^dag), 315 in all: the last 128 are kept, K = 6
+        # with 108 and 20 of K = 5, which retain about 7 MB of int64 rows and cols and
+        # float64 weights
         truncs = [FockTruncation(k, c) for k, c in
                   [(1, 4096), (1, 4000), (2, 64), (2, 63), (3, 16), (3, 15), (4, 8), (5, 5), (6, 4)]]
         forms = [QuadraticForm(BosonBasis(t.n_modes), random_symmetric(rng, 2 * t.n_modes))
                  for t in truncs]
-        fock._pair_products.cache_clear()
+        fock._pair.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for form, trunc in zip(forms, truncs):
                 assemble(form, trunc)
-            fock._ladder_maps.cache_clear()  # leaves the pair tables alone in what is retained
+            fock._ladder_maps.cache_clear()  # leaves the pair maps alone in what is retained
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        info = fock._pair_products.cache_info()
-        sizes = [len(fock._pair_products(trunc)) for trunc in truncs[-2:]]
-        fock._pair_products.cache_clear()
-        assert info.maxsize == info.currsize == 2 and sizes == [75, 108]
+        info = fock._pair.cache_info()
+        fock._pair.cache_clear()
+        assert info.maxsize == info.currsize == 128 and info.misses == 315
         assert retained < 15e6
+
+    def test_second_pass_over_seven_truncations_builds_no_pair_map(self, rng):
+        # the truncations and term patterns of one oracle benchmark pass: one-mode spectrum
+        # checks at nmax 60 and their re-run at 80, the metric check at 40 with its a^dag^2,
+        # the two-mode model at 20 and 25, and a weakly coupled three-mode form at 5 and 10
+        three = np.zeros((6, 6))
+        for i in range(3):
+            three[i, i], three[i + 3, i + 3] = rng.uniform(0.0, 0.02, 2)
+            for j in range(3):
+                three[i, j + 3] = three[j + 3, i] = 0.5 if i == j else rng.uniform(-0.03, 0.03)
+        one, a_dag_squared = one_mode(OneModeParams(0.2, 0.1)), build_quadratic(BosonBasis(1), [(2, 2, 1.0)])
+        runs = [(one, FockTruncation(1, 60)), (one, FockTruncation(1, 80)),
+                (one, FockTruncation(1, 40)), (a_dag_squared, FockTruncation(1, 40))]
+        runs += [(two_mode(TwoModeParams(0.1, 0.2, 0.3)), FockTruncation(2, cutoff))
+                 for cutoff in (20, 25)]
+        runs += [(QuadraticForm(BosonBasis(3), three), FockTruncation(3, cutoff))
+                 for cutoff in (5, 10)]
+        fock._pair.cache_clear()
+        misses = []
+        for _ in range(2):
+            for form, trunc in runs:
+                assemble(form, trunc)
+            misses.append(fock._pair.cache_info().misses)
+        assert misses == [55, 55]
 
 
 class TestOracleEigenvalues:
