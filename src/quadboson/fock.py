@@ -676,7 +676,8 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
     behind the 2-norm, runs in float64; otherwise in complex128.
 
     Raises ValueError when 1 - 4 alpha beta is not real: the frequency is
-    then complex and no metric with rho H = H^dag rho exists.
+    then complex and no metric with rho H = H^dag rho exists. So does a
+    cutoff below 3 without an interior, whose default block is empty.
     """
     if trunc.n_modes != 1:
         raise ValueError("metric verification is defined for the one-mode model")
@@ -687,6 +688,9 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
             "and no quasi-Hermiticity metric exists"
         )
     if interior is None:
+        if trunc.cutoff < 3:
+            raise ValueError(f"the metric check needs a cutoff of at least 3, got {trunc.cutoff}: "
+                             "below that no interior block is left")
         interior = trunc.cutoff - 2
     if not (_is_integer(interior) and 1 <= interior <= trunc.cutoff):
         raise ValueError(f"interior must be an integer in 1..{trunc.cutoff}, got {interior!r}")

@@ -513,6 +513,9 @@ REFUSED_SETTINGS = [
     ("oracle --nmax 1", ["oracle", "--nmax", "1"], ONE_MODE, "field 'oracle.nmax' (--nmax)"),
     ("transform --nmax 1", ["transform", "--oracle", "--nmax", "1"], ONE_MODE,
      "field 'oracle.nmax' (--nmax)"),
+    # the default interior, cutoff - 2, is empty
+    ("transform --nmax 2", ["transform", "--oracle", "--nmax", "2"], ONE_MODE,
+     "needs a cutoff of at least 3, got 2"),
     ("tol NaN", ["oracle"], dict(ONE_MODE, oracle={"tol": float("nan")}), "field 'oracle.tol'"),
     ("tol Infinity", ["oracle"], dict(ONE_MODE, oracle={"tol": float("inf")}),
      "field 'oracle.tol'"),
