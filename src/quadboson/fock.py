@@ -332,20 +332,23 @@ def _lowest_by_arnoldi(matrix, k: int) -> np.ndarray | None:
         if not np.iscomplexobj(matrix):
             vectors = np.hstack([vectors.real, vectors.imag])  # real basis, same span
         found = sla.orth(vectors)
-        found_h = found.conj().T
         top = float(values.real.max())
+        gemv = sla.get_blas_funcs("gemv", (found,))
+
+        def project(v):  # found found^H v, in the BLAS that ARPACK runs in, not numpy's
+            return gemv(1.0, found, gemv(1.0, found, v, trans=2))
 
         def deflated(v):  # found directions sent to 2 top, above top as top >= 1
-            inside = found @ (found_h @ v)
+            inside = project(v)
             w = shifted @ (v - inside)
-            return w - found @ (found_h @ w) + 2.0 * top * inside
+            return w - project(w) + 2.0 * top * inside
 
         # a second, independent start: the first one minus the found directions
         # holds almost nothing of a missed copy, which must then grow out of
         # round-off; a fresh vector holds a share of it, so one value finds it
         check = np.random.default_rng(1).standard_normal(size)
         rest = eigs(LinearOperator((size, size), matvec=deflated, dtype=matrix.dtype), k=1,
-                    which="SR", v0=check - found @ (found_h @ check), tol=0,
+                    which="SR", v0=check - project(check), tol=0,
                     maxiter=restarts, return_eigenvectors=False)
     except ArpackError:
         return None

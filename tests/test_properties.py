@@ -198,15 +198,14 @@ def test_block_above_the_full_solve_limit_is_solved_whole(monkeypatch, params, c
     assert perm == (1, 0) and min(sizes) > limit
     assert all((max(sector[2] for sector in split) <= limit) == sectors_fit
                for _, split in fock._blocks(trunc, perm))
-    # Arnoldi itself is stubbed: the routing is the point, and a complex block of 800
-    # states takes seconds where BLAS runs threads on a loaded machine
-    blocks, arnoldi, solve = [], [], fock.oracle_eigenvalues
+    blocks, arnoldi = [], []
+    solve, lowest = fock.oracle_eigenvalues, fock._lowest_by_arnoldi
     monkeypatch.setattr(fock, "oracle_eigenvalues",
                         lambda block, count=None: blocks.append((block[3], count))
                         or solve(block, count))
     monkeypatch.setattr(fock, "_lowest_by_arnoldi",
                         lambda matrix, k: arnoldi.append((matrix.shape[0], k))
-                        or np.zeros(k, complex))
+                        or lowest(matrix, k))
     fock._parity_eigenvalues(form, trunc, 5, balanced, perm)
     assert blocks == [(size, 5) for size in sizes]
     assert arnoldi == [(size, 6) for size in sizes]
