@@ -31,7 +31,7 @@ from .algebra import (
     commutator_matrix,
     transform_form,
 )
-from .fock import FockTruncation, verify_metric, verify_spectrum
+from .fock import SPECTRUM_TOL, FockTruncation, verify_metric, verify_spectrum
 from .spectral import (
     ExceptionalPointError,
     Reality,
@@ -65,6 +65,8 @@ _MODELS = {
 _MAX_SWEEP_POINTS = 1_000_000
 # A sweep solves and writes this many grid points at a time, which bounds its memory.
 _SWEEP_CHUNK = 2**14
+# The oracle settings that a config's "oracle" object and the flags leave out.
+_ORACLE_DEFAULTS = {"nmax": 40, "levels": 5, "tol": SPECTRUM_TOL}
 
 
 class ConfigError(ValueError):
@@ -82,14 +84,14 @@ class SweepAxis:
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str
+    nmax: int
+    levels: int
+    tol: float
     alpha: complex = 0.0
     beta: complex = 0.0
     gamma: float = 0.0
     matrix: np.ndarray | None = None
     offset: complex = 0.0
-    nmax: int = 40
-    levels: int = 5
-    tol: float = 1e-6
     sweep: tuple = ()
     raw_bytes: bytes = b""
 
@@ -162,10 +164,9 @@ def load_config(path: str, overrides: dict | None = None) -> ModelConfig:
     oracle = data.get("oracle", {})
     if not isinstance(oracle, dict):
         raise ConfigError("field 'oracle': must be an object")
-    oracle = {**oracle, **{k: v for k, v in (overrides or {}).items() if v is not None}}
-    nmax = oracle.get("nmax", 40)
-    levels = oracle.get("levels", 5)
-    tol = oracle.get("tol", 1e-6)
+    oracle = {**_ORACLE_DEFAULTS, **oracle,
+              **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    nmax, levels, tol = oracle["nmax"], oracle["levels"], oracle["tol"]
     if not _is_number(nmax, int) or nmax < 2:
         raise ConfigError("field 'oracle.nmax' (--nmax): must be an integer >= 2")
     if not _is_number(levels, int) or levels < 1:
