@@ -422,7 +422,7 @@ class TestTableCache:
         assert all(i.maxsize == i.currsize == 8 for i in info)
         assert retained < 8e6
 
-    def test_pair_maps_built_once_read_only_and_equal_to_fresh_ones(self, rng):
+    def test_pair_table_filled_once_read_only_and_equal_to_fresh_products(self, rng):
         form, trunc = seeded_form(rng, 2, False), FockTruncation(2, 6)
         # a dense form needs every pair once, but a lowering operator left of a raising one
         pairs = [(i, j) for i in range(4) for j in range(4) if not i < 2 <= j]
@@ -443,7 +443,7 @@ class TestTableCache:
         for a, b in zip(first, second):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
-    def test_pair_maps_retain_under_15_mb_at_the_cap(self, rng):
+    def test_pair_table_retains_under_15_mb_at_the_cap(self, rng):
         # dense forms on 9 truncations of 3000 to 4096 states, K = 1 to 6, need 3K^2 pairs
         # each (normal order needs no a_i a_j^dag), 315 in all: the last 128 are kept, K = 6
         # with 108 and 20 of K = 5, which retain about 7 MB of int64 rows and cols and
@@ -476,7 +476,8 @@ class TestTableCache:
             three[i, i], three[i + 3, i + 3] = rng.uniform(0.0, 0.02, 2)
             for j in range(3):
                 three[i, j + 3] = three[j + 3, i] = 0.5 if i == j else rng.uniform(-0.03, 0.03)
-        one, a_dag_squared = one_mode(OneModeParams(0.2, 0.1)), build_quadratic(BosonBasis(1), [(2, 2, 1.0)])
+        one = one_mode(OneModeParams(0.2, 0.1))
+        a_dag_squared = build_quadratic(BosonBasis(1), [(2, 2, 1.0)])
         runs = [(one, FockTruncation(1, 60)), (one, FockTruncation(1, 80)),
                 (one, FockTruncation(1, 40)), (a_dag_squared, FockTruncation(1, 40))]
         runs += [(two_mode(TwoModeParams(0.1, 0.2, 0.3)), FockTruncation(2, cutoff))
