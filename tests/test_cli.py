@@ -27,7 +27,20 @@ def write_config(tmp_path, payload, name="model.json"):
     return str(path)
 
 
+# Config in tests/data -> exit code of `analyze`, whose stdout is pinned in analyze_<config>.txt.
+# They reach each cluster path: simple pairs (the two oracle configs), the one-mode EP,
+# two 2-fold clusters (gamma = 0), one 4-fold zero cluster, and complex parameters.
+ANALYZE_GOLDENS = {"oracle_one_mode": 0, "oracle_two_mode": 0, "one_mode_ep": 2,
+                   "two_mode_degenerate": 0, "custom_zero": 0, "two_mode_complex": 0}
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("name,code", ANALYZE_GOLDENS.items())
+    def test_matches_golden_report(self, capsys, name, code):
+        assert main(["analyze", "--config", str(DATA / f"{name}.json")]) == code
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (DATA / f"analyze_{name}.txt").read_bytes()
+
     def test_one_mode_all_real(self, tmp_path, capsys):
         code = main(["analyze", "--config", write_config(tmp_path, ONE_MODE)])
         out = capsys.readouterr().out
