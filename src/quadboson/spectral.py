@@ -111,26 +111,20 @@ class SpectralDecomposition:
 
 
 def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
-    # Union-find on |v_i - v_j| < tol; spectra here have at most ~16 entries.
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) < tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    # Breadth-first search over |v_i - v_j| < tol: a group starts at the lowest
+    # index left and takes in every index left within tol of any member. Groups
+    # come by smallest member, members ascending; a K = 16 spectrum has 32 entries.
+    left = list(range(len(values)))
+    groups = []
+    while left:
+        group = [left.pop(0)]
+        for i in group:  # grows as it is read, until nothing more joins
+            rest = []
+            for j in left:
+                (group if abs(values[i] - values[j]) < tol else rest).append(j)
+            left = rest
+        groups.append(sorted(group))
+    return groups
 
 
 def _is_real(values: np.ndarray) -> np.ndarray:
@@ -142,7 +136,8 @@ def _pair_indices(values: np.ndarray, tol: float, report: EPReport) -> list[tupl
     # Greedy +/- matching: repeatedly take the largest unpaired |value| and
     # match it with the unpaired value minimizing |v_i + v_j|. The spectrum is
     # +/- symmetric in exact arithmetic, so a miss above tol means ill-conditioned
-    # eigenvalues, i.e. a (near-)defective matrix such as an order-4 EP.
+    # eigenvalues, i.e. a (near-)defective matrix such as an order-4 EP. Each pair
+    # comes lower member first in (real, imag) order: the lowering one.
     remaining = sorted(range(len(values)), key=lambda i: -abs(values[i]))
     pairs = []
     while remaining:
@@ -157,7 +152,8 @@ def _pair_indices(values: np.ndarray, tol: float, report: EPReport) -> list[tupl
                 "the adjoint matrix is near an exceptional point",
                 report=report,
             )
-        pairs.append((i, j))
+        a, b = values[i], values[j]
+        pairs.append((j, i) if (a.real, a.imag) > (b.real, b.imag) else (i, j))
     return pairs
 
 
@@ -182,16 +178,11 @@ class _Eigensystem:
                 report=self.report,
             )
         values, vectors = self.values, self.vectors
-        oriented = []
-        for i, j in _pair_indices(values, PAIR_TOL * self.scale, self.report):
-            a, b = values[i], values[j]
-            if (a.real, a.imag) > (b.real, b.imag):
-                i, j = j, i
-            oriented.append((i, j))
-        oriented.sort(key=lambda p: (values[p[0]].real, values[p[0]].imag))
+        pairs = sorted(_pair_indices(values, PAIR_TOL * self.scale, self.report),
+                       key=lambda p: (values[p[0]].real, values[p[0]].imag))
 
         lowers, raisers = [], []
-        for i, j in oriented:
+        for i, j in pairs:
             vi = vectors[:, i] / np.linalg.norm(vectors[:, i])
             vj = vectors[:, j] / np.linalg.norm(vectors[:, j])
             lowers.append(LadderOperator(values[i], vi, LOWERING))

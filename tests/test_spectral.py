@@ -319,3 +319,42 @@ class TestDetectEP:
             round(np.sqrt(2.0), 6),
         ]
         assert all(not c.defective for c in simple)
+
+
+def connected_groups(values, tol):
+    """Connected components of the boolean |v_i - v_j| < tol matrix, closed transitively
+    (Warshall), ordered by smallest member with members ascending."""
+    diff = values[:, None] - values[None, :]
+    near = np.hypot(diff.real, diff.imag) < tol  # hypot matches the scalar abs bit for bit
+    for k in range(len(values)):
+        near |= near[:, k:k + 1] & near[k:k + 1, :]
+    groups, seen = [], set()
+    for i in range(len(values)):
+        if i not in seen:
+            groups.append(np.flatnonzero(near[i]).tolist())
+            seen.update(groups[-1])
+    return groups
+
+
+class TestClusterIndices:
+    def test_chain_of_near_neighbours_is_one_group(self):
+        # 0 ~ 3 ~ 2 within tol, but |v_0 - v_2| = 1.2 tol
+        tol = 1e-6
+        values = np.array([0.0, 5.0, 1.2 * tol, 0.6 * tol], dtype=complex)
+        assert abs(values[0] - values[2]) > tol
+        assert spectral._cluster_indices(values, tol) == [[0, 2, 3], [1]]
+
+    def test_random_spectra_match_transitive_closure(self):
+        rng = np.random.default_rng(29)
+        for _ in range(500):
+            n = int(rng.integers(2, 33))
+            values = rng.normal(size=n) + 1j * rng.normal(size=n) * rng.integers(0, 2)
+            for _ in range(int(rng.integers(0, n))):  # near-duplicates, some chained
+                i, j = rng.integers(0, n, size=2)
+                offset = 10.0 ** rng.uniform(-9, -6) * np.exp(2j * np.pi * rng.uniform())
+                values[j] = values[i] + offset
+            tol = spectral.CLUSTER_TOL * rng.uniform(1, 10)
+            groups = spectral._cluster_indices(values, tol)
+            assert groups == connected_groups(values, tol)
+            assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+            assert all(g == sorted(g) for g in groups)
