@@ -164,6 +164,9 @@ def load_config(path: str, overrides: dict | None = None) -> ModelConfig:
     oracle = data.get("oracle", {})
     if not isinstance(oracle, dict):
         raise ConfigError("field 'oracle': must be an object")
+    for key in oracle:
+        if key not in _ORACLE_DEFAULTS:
+            raise ConfigError(f"field 'oracle.{key}': unknown oracle setting")
     oracle = {**_ORACLE_DEFAULTS, **oracle,
               **{k: v for k, v in (overrides or {}).items() if v is not None}}
     nmax, levels, tol = oracle["nmax"], oracle["levels"], oracle["tol"]
@@ -181,6 +184,9 @@ def load_config(path: str, overrides: dict | None = None) -> ModelConfig:
     for pos, axis in enumerate(sweep):
         if not isinstance(axis, dict):
             raise ConfigError(f"field 'sweep[{pos}]': must be an object")
+        for key in axis:
+            if key not in ("parameter", "start", "stop", "steps"):
+                raise ConfigError(f"field 'sweep[{pos}].{key}': unknown axis field")
         name = axis.get("parameter")
         if name not in sweepable:
             raise ConfigError(

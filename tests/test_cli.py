@@ -551,6 +551,10 @@ REFUSED_SETTINGS = [
     ("custom alpha", ["analyze"], dict(CUSTOM, alpha=[0.3, 0]), "field 'alpha'"),
     ("custom beta", ["analyze"], dict(CUSTOM, beta=[0.5, 0]), "field 'beta'"),
     ("custom gamma", ["analyze"], dict(CUSTOM, gamma=0.3), "field 'gamma'"),
+    ("oracle nmx", ["oracle"], dict(ONE_MODE, oracle={"nmx": 60}), "field 'oracle.nmx'"),
+    ("oracle level", ["oracle"], dict(ONE_MODE, oracle={"level": 3}), "field 'oracle.level'"),
+    ("sweep axis extra", ["sweep"], dict(ONE_MODE, sweep=[dict(AXIS, extra=1)]),
+     "field 'sweep[0].extra'"),
     ("ragged matrix", ["analyze"], dict(CUSTOM, matrix=[[1, 2], [3]]),
      "field 'matrix': malformed matrix"),
     # a map entry overflows; a finite map whose transformed form overflows
