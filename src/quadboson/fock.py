@@ -99,7 +99,7 @@ class FockTruncation:
         if self.cap < 1:
             raise ValueError(f"cap must be at least 1, got {self.cap}")
         if self.dimension > self.cap:
-            raise _cap_error(self, 0, f"truncated dimension {self.dimension}")
+            raise _cap_error(self.n_modes, self.cap, 0, f"truncated dimension {self.dimension}")
 
     @property
     def dimension(self) -> int:
@@ -116,11 +116,8 @@ class FockTruncation:
 
     def grown(self) -> "FockTruncation":
         """Truncation of a convergence re-run, same cap: cutoff + 20 for one mode, else + 5."""
-        stride = 20 if self.n_modes == 1 else 5
-        bigger = self.cutoff + stride
-        if bigger ** self.n_modes > self.cap:
-            raise _cap_error(self, stride, f"convergence re-run at cutoff {bigger}")
-        return FockTruncation(self.n_modes, bigger, self.cap)
+        return FockTruncation(self.n_modes, _rerun_cutoff(self.n_modes, self.cutoff, self.cap),
+                              self.cap)
 
     def interior_mask(self) -> np.ndarray:
         """Boolean mask of basis states with every mode index < cutoff - 2."""
@@ -131,19 +128,29 @@ class FockTruncation:
         return self.occupations().sum(axis=1) % 2 == 1
 
 
-def _cap_error(trunc: FockTruncation, stride: int, what: str) -> ValueError:
+def _rerun_cutoff(n_modes: int, cutoff: int, cap: int) -> int:
+    """Cutoff of the convergence re-run from `cutoff`; ValueError naming the largest
+    starting cutoff whose re-run fits when the re-run's dimension exceeds `cap`."""
+    stride = 20 if n_modes == 1 else 5
+    bigger = cutoff + stride
+    if bigger ** n_modes > cap:
+        raise _cap_error(n_modes, cap, stride, f"convergence re-run at cutoff {bigger}")
+    return bigger
+
+
+def _cap_error(n_modes: int, cap: int, stride: int, what: str) -> ValueError:
     """`what` exceeds the cap: name the largest starting cutoff that fits, else the cap needed."""
-    root = round(trunc.cap ** (1.0 / trunc.n_modes))  # then corrected to the exact integer root
-    while root ** trunc.n_modes > trunc.cap:
+    root = round(cap ** (1.0 / n_modes))  # then corrected to the exact integer root
+    while root ** n_modes > cap:
         root -= 1
     if root - stride >= 2:
         rerun = " with that re-run" if stride else ""
-        hint = f"largest feasible cutoff for {trunc.n_modes} mode(s){rerun} is {root - stride}"
+        hint = f"largest feasible cutoff for {n_modes} mode(s){rerun} is {root - stride}"
     else:
         run = "re-run" if stride else "run"
-        hint = (f"no starting cutoff for {trunc.n_modes} mode(s) fits; the smallest {run} "
-                f"(cutoff {2 + stride}) needs cap {(2 + stride) ** trunc.n_modes}")
-    return ValueError(f"{what} exceeds cap {trunc.cap}; {hint}")
+        hint = (f"no starting cutoff for {n_modes} mode(s) fits; the smallest {run} "
+                f"(cutoff {2 + stride}) needs cap {(2 + stride) ** n_modes}")
+    return ValueError(f"{what} exceeds cap {cap}; {hint}")
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:

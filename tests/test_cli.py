@@ -541,6 +541,9 @@ REFUSED_SETTINGS = [
     ("sweep object", ["sweep"], dict(ONE_MODE, sweep=AXIS), "field 'sweep': must be a list"),
     ("transform --nmax 5000", ["transform", "--oracle", "--nmax", "5000"], ONE_MODE,
      "largest feasible cutoff for 1 mode(s) is 4096"),
+    # the oracle re-runs 20 higher, so it names the cutoff whose re-run fits
+    ("oracle --nmax 5000", ["oracle", "--nmax", "5000"], ONE_MODE,
+     "largest feasible cutoff for 1 mode(s) with that re-run is 4076"),
     ("model list", ["analyze"], dict(ONE_MODE, model=["one_mode"]), "field 'model'"),
     # a field the model does not read is refused, not dropped
     ("one_mode gamma", ["analyze"], dict(ONE_MODE, gamma=0.3), "field 'gamma'"),
