@@ -88,13 +88,13 @@ class ModelConfig:
     nmax: int
     levels: int
     tol: float
-    alpha: complex = 0.0
-    beta: complex = 0.0
-    gamma: float = 0.0
-    matrix: np.ndarray | None = None
-    offset: complex = 0.0
-    sweep: tuple = ()
-    raw_bytes: bytes = b""
+    alpha: complex
+    beta: complex
+    gamma: float
+    matrix: np.ndarray | None
+    offset: complex
+    sweep: tuple
+    raw_bytes: bytes
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -216,22 +216,16 @@ def load_config(path: str, overrides: dict | None = None) -> ModelConfig:
 
 
 def _build_form(config: ModelConfig, overrides: dict | None = None) -> QuadraticForm:
-    alpha, beta, gamma = config.alpha, config.beta, config.gamma
-    for name, value in (overrides or {}).items():
-        if name == "alpha_re":
-            alpha = complex(value, alpha.imag)
-        elif name == "alpha_im":
-            alpha = complex(alpha.real, value)
-        elif name == "beta_re":
-            beta = complex(value, beta.imag)
-        elif name == "beta_im":
-            beta = complex(beta.real, value)
-        elif name == "gamma":
-            gamma = value
+    params = {"alpha": config.alpha, "beta": config.beta, "gamma": config.gamma}
+    for axis, value in (overrides or {}).items():
+        name, _, part = axis.partition("_")  # alpha_re is alpha's real part
+        z = params[name]
+        params[name] = (complex(value, z.imag) if part == "re" else
+                        complex(z.real, value) if part == "im" else value)
     if config.kind == "one_mode":
-        return one_mode(OneModeParams(alpha, beta))
+        return one_mode(OneModeParams(params["alpha"], params["beta"]))
     if config.kind == "two_mode":
-        return two_mode(TwoModeParams(alpha, beta, gamma))
+        return two_mode(TwoModeParams(**params))
     return QuadraticForm(BosonBasis(config.matrix.shape[0] // 2), config.matrix, config.offset)
 
 
