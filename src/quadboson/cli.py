@@ -31,8 +31,7 @@ from .algebra import (
     commutator_matrix,
     transform_form,
 )
-from .fock import (DEFAULT_DIMENSION_CAP, SPECTRUM_TOL, FockTruncation, _rerun_cutoff,
-                   verify_metric, verify_spectrum)
+from .fock import SPECTRUM_TOL, FockTruncation, _rerun_cutoff, verify_metric, verify_spectrum
 from .spectral import (
     ExceptionalPointError,
     Reality,
@@ -344,7 +343,7 @@ def cmd_oracle(config: ModelConfig, allow_complex: bool) -> int:
         return EXIT_ERROR
 
     # the re-run is checked first: its refusal names a cutoff that fits with the re-run
-    _rerun_cutoff(form.basis.n_modes, config.nmax, DEFAULT_DIMENSION_CAP)
+    _rerun_cutoff(form.basis.n_modes, config.nmax)
     trunc = FockTruncation(form.basis.n_modes, config.nmax)
     report = verify_spectrum(form, decomp, config.levels, trunc, tol=config.tol)
     print(f"model: {config.kind}  nmax: {config.nmax}  levels: {config.levels}  "

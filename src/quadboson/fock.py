@@ -128,7 +128,7 @@ class FockTruncation:
         return self.occupations().sum(axis=1) % 2 == 1
 
 
-def _rerun_cutoff(n_modes: int, cutoff: int, cap: int) -> int:
+def _rerun_cutoff(n_modes: int, cutoff: int, cap: int = DEFAULT_DIMENSION_CAP) -> int:
     """Cutoff of the convergence re-run from `cutoff`; ValueError naming the largest
     starting cutoff whose re-run fits when the re-run's dimension exceeds `cap`."""
     stride = 20 if n_modes == 1 else 5

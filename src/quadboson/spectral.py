@@ -111,9 +111,8 @@ class SpectralDecomposition:
 
 
 def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
-    # Breadth-first search over |v_i - v_j| < tol: a group starts at the lowest
-    # index left and takes in every index left within tol of any member. Groups
-    # come by smallest member, members ascending; a K = 16 spectrum has 32 entries.
+    # Breadth-first search over |v_i - v_j| < tol from the lowest index left: groups
+    # come by smallest member, members ascending. A K = 16 spectrum has 32 entries.
     left = list(range(len(values)))
     groups = []
     while left:
