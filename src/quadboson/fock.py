@@ -30,16 +30,16 @@ single value, from an independent start vector with the found
 eigenvectors deflated.
 
 Truncation corrupts elements near the cutoff, so comparisons use interior
-blocks and are re-run at a larger cutoff. The index tables that depend on
-the truncation alone, the single-operator maps and every solve unit's
-slots and coefficients, are built once per truncation (and transposition)
-and kept, read-only, for the 8 most recently used ones (under 1 MB each
-at the 4096-state cap). The pair products O_i O_j that assemble scales
-(_pair) are built the first time a pair is needed and kept, read-only,
-for the 128 most recently used pairs: a dense four-mode run and its re-run
-need 96. Each holds at most one entry of 24 bytes per basis state, so the
-128 take at most 12.6 MB at the cap (a dense six-mode form there fills
-108 of them with 6.0 MB).
+blocks and are re-run at a larger cutoff, each run within the fixed
+DIMENSION_CAP (4096 states). The index tables that depend on the truncation
+alone, the single-operator maps and every solve unit's slots and
+coefficients, are built once per truncation (and transposition) and kept,
+read-only, for the 8 most recently used ones (under 1 MB each at the cap).
+The pair products O_i O_j that assemble scales (_pair) are built the first
+time a pair is needed and kept, read-only, for the 128 most recently used
+pairs: a dense four-mode run and its re-run need 96. Each holds at most one
+entry of 24 bytes per basis state, so the 128 take at most 12.6 MB at the
+cap (a dense six-mode form there fills 108 of them with 6.0 MB).
 
 scipy is imported inside the functions that need it, the Arnoldi solve
 and the metric factor's expm, so importing this module, and every dense
@@ -57,7 +57,7 @@ from .algebra import CanonicalMap, QuadraticForm, _is_integer, adjoint_rep, buil
 from .spectral import Reality, SpectralDecomposition
 from .swanson import OneModeParams, one_mode
 
-DEFAULT_DIMENSION_CAP = 4096
+DIMENSION_CAP = 4096  # states, of a run and of its convergence re-run
 SPECTRUM_TOL = 1e-6
 _METRIC_REAL_TOL = 1e-9
 # Largest solve unit solved in full (the size policy, module docstring).
@@ -81,14 +81,13 @@ _ARNOLDI_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class FockTruncation:
-    """Product number basis |n_1..n_K> with every n_i < cutoff."""
+    """Product number basis |n_1..n_K> with every n_i < cutoff, at most DIMENSION_CAP states."""
 
     n_modes: int
     cutoff: int
-    cap: int = DEFAULT_DIMENSION_CAP
 
     def __post_init__(self):
-        for name in ("n_modes", "cutoff", "cap"):
+        for name in ("n_modes", "cutoff"):
             value = getattr(self, name)
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -96,14 +95,12 @@ class FockTruncation:
             raise ValueError(f"n_modes must be positive, got {self.n_modes}")
         if self.cutoff < 2:
             raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
-        if self.cap < 1:
-            raise ValueError(f"cap must be at least 1, got {self.cap}")
-        if self.dimension > self.cap:
-            raise _cap_error(self.n_modes, self.cap, 0, f"truncated dimension {self.dimension}")
+        if self.dimension > DIMENSION_CAP:
+            raise _cap_error(self.n_modes, 0, f"truncated dimension {self.dimension}")
 
     @property
     def dimension(self) -> int:
-        return self.cutoff ** self.n_modes
+        return _dimension(self.n_modes, self.cutoff)
 
     def occupations(self) -> np.ndarray:
         """(dimension, n_modes) table of the basis states' occupations, mode 1 slowest."""
@@ -115,9 +112,8 @@ class FockTruncation:
         return np.where(inside, occ @ self.cutoff ** np.arange(self.n_modes)[::-1], -1)
 
     def grown(self) -> "FockTruncation":
-        """Truncation of a convergence re-run, same cap: cutoff + 20 for one mode, else + 5."""
-        return FockTruncation(self.n_modes, _rerun_cutoff(self.n_modes, self.cutoff, self.cap),
-                              self.cap)
+        """Truncation of a convergence re-run: cutoff + 20 for one mode, else + 5."""
+        return FockTruncation(self.n_modes, _rerun_cutoff(self.n_modes, self.cutoff))
 
     def interior_mask(self) -> np.ndarray:
         """Boolean mask of basis states with every mode index < cutoff - 2."""
@@ -128,29 +124,27 @@ class FockTruncation:
         return self.occupations().sum(axis=1) % 2 == 1
 
 
-def _rerun_cutoff(n_modes: int, cutoff: int, cap: int = DEFAULT_DIMENSION_CAP) -> int:
-    """Cutoff of the convergence re-run from `cutoff`; ValueError naming the largest
-    starting cutoff whose re-run fits when the re-run's dimension exceeds `cap`."""
+def _dimension(n_modes: int, cutoff: int) -> int:
+    """States of the product basis, the size rule of every cap check (Python ints: exact)."""
+    return int(cutoff) ** int(n_modes)
+
+
+def _rerun_cutoff(n_modes: int, cutoff: int) -> int:
+    """Cutoff of the convergence re-run from `cutoff`; ValueError where it exceeds the cap."""
     stride = 20 if n_modes == 1 else 5
     bigger = cutoff + stride
-    if bigger ** n_modes > cap:
-        raise _cap_error(n_modes, cap, stride, f"convergence re-run at cutoff {bigger}")
+    if _dimension(n_modes, bigger) > DIMENSION_CAP:
+        raise _cap_error(n_modes, stride, f"convergence re-run at cutoff {bigger}")
     return bigger
 
 
-def _cap_error(n_modes: int, cap: int, stride: int, what: str) -> ValueError:
-    """`what` exceeds the cap: name the largest starting cutoff that fits, else the cap needed."""
-    root = round(cap ** (1.0 / n_modes))  # then corrected to the exact integer root
-    while root ** n_modes > cap:
-        root -= 1
-    if root - stride >= 2:
-        rerun = " with that re-run" if stride else ""
-        hint = f"largest feasible cutoff for {n_modes} mode(s){rerun} is {root - stride}"
-    else:
-        run = "re-run" if stride else "run"
-        hint = (f"no starting cutoff for {n_modes} mode(s) fits; the smallest {run} "
-                f"(cutoff {2 + stride}) needs cap {(2 + stride) ** n_modes}")
-    return ValueError(f"{what} exceeds cap {cap}; {hint}")
+def _cap_error(n_modes: int, stride: int, what: str) -> ValueError:
+    """`what` exceeds the cap: name the largest starting cutoff whose re-run (+ stride) fits."""
+    fits = max(c for c in range(1, DIMENSION_CAP + 1) if _dimension(n_modes, c) <= DIMENSION_CAP)
+    rerun = " with that re-run" if stride else ""
+    hint = (f"largest feasible cutoff for {n_modes} mode(s){rerun} is {fits - stride}"
+            if fits - stride >= 2 else f"no starting cutoff for {n_modes} mode(s) fits")
+    return ValueError(f"{what} exceeds cap {DIMENSION_CAP}; {hint}")
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -519,7 +513,7 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
     The `levels` oracle eigenvalues of smallest real part are matched
     elementwise against the enumerated diagonal-form energies. The run is
     repeated on trunc.grown(); converged means every matched level moved by
-    less than tol/10. The re-run stays under trunc.cap: a truncation whose
+    less than tol/10. The re-run stays within DIMENSION_CAP: a truncation whose
     re-run exceeds it raises ValueError before anything is assembled. Each run
     assembles the full truncation once and solves its solve units apart,
     split and sized by the module docstring's size policy, so the report's

@@ -126,17 +126,22 @@ class TestFockMatrices:
         for op, embedded in zip(ops, reference):
             assert np.array_equal(op, embedded)
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
         with pytest.raises(ValueError, match="feasible cutoff"):
             FockTruncation(2, 100)
-        FockTruncation(2, 100, cap=10001)  # raised cap admits it
-        # 4096 ** (1/3) evaluates to 15.999999999999998; the exact root is 16
+        # 4096 ** (1/3) evaluates to 15.999999999999998; the exact largest cutoff is 16
         with pytest.raises(ValueError, match="feasible cutoff for 3 mode.s. is 16$"):
             FockTruncation(3, 17)
         FockTruncation(3, 16)
-        # cutoffs start at 2, so a cap below 2 ** n_modes admits none
-        with pytest.raises(ValueError, match="no starting cutoff .* run .cutoff 2. needs cap 4$"):
-            FockTruncation(2, 2, cap=3)
+        # cutoffs start at 2, so 13 modes (8192 states at cutoff 2) admit none
+        with pytest.raises(ValueError, match="exceeds cap 4096; no starting cutoff for 13 mode.s. "
+                                             "fits$"):
+            FockTruncation(13, 2)
+        monkeypatch.setattr(fock, "DIMENSION_CAP", 10001)
+        FockTruncation(2, 100)  # a raised cap admits it
+        monkeypatch.setattr(fock, "DIMENSION_CAP", 3)
+        with pytest.raises(ValueError, match="exceeds cap 3; no starting cutoff for 2 mode.s. fits$"):
+            FockTruncation(2, 2)
 
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
@@ -150,16 +155,14 @@ class TestFockMatrices:
 
     def test_accepts_numpy_integer_sizes(self):
         assert FockTruncation(np.int64(2), np.int32(3)).dimension == 9
-        assert FockTruncation(2, 3, cap=np.int64(9)).cap == 9
+        assert FockTruncation(np.int64(2), np.int64(3)).grown() == FockTruncation(2, 8)
 
-    @pytest.mark.parametrize("cap,message", [(None, "cap must be an integer"),
-                                             (4.5, "cap must be an integer"),
-                                             (True, "cap must be an integer"),
-                                             (0, "cap must be at least 1"),
-                                             (-1, "cap must be at least 1")])
-    def test_rejects_bad_cap(self, cap, message):
-        with pytest.raises(ValueError, match=message):
-            FockTruncation(2, 3, cap=cap)
+    def test_numpy_integer_sizes_do_not_wrap_around(self):
+        # np.int64(2) ** np.int64(64) wraps to 0, which would pass the cap
+        with pytest.raises(ValueError, match="no starting cutoff for 64 mode.s. fits$"):
+            FockTruncation(np.int64(64), np.int64(2))
+        with pytest.raises(ValueError, match="feasible cutoff for 3 mode.s. is 16$"):
+            FockTruncation(np.int64(3), np.int64(3_000_000))
 
 
 class TestAssemble:
@@ -1234,28 +1237,36 @@ class TestVerifySpectrum:
 
     def test_rerun_respects_cap(self, monkeypatch):
         form = two_mode(TwoModeParams(0.1, 0.2, 0.3))
-        trunc = FockTruncation(2, 10, cap=100)
+        monkeypatch.setattr(fock, "DIMENSION_CAP", 100)
+        trunc = FockTruncation(2, 10)
         calls = []
         monkeypatch.setattr(fock, "assemble", lambda *args: calls.append(args))
         # the re-run at cutoff 15 needs 225 states; a start at 5 re-runs at 10
-        with pytest.raises(ValueError, match="with that re-run is 5$"):
+        with pytest.raises(ValueError, match="exceeds cap 100; .* with that re-run is 5$"):
             verify_spectrum(form, decompose(form), 3, trunc)
         assert calls == []
-        assert FockTruncation(2, 5, cap=100).grown() == FockTruncation(2, 10, cap=100)
+        assert FockTruncation(2, 5).grown() == FockTruncation(2, 10)
 
-    def test_rerun_over_cap_names_the_cap_it_needs(self):
-        # no cutoff >= 2 has a re-run under these caps
-        with pytest.raises(ValueError, match="no starting cutoff .* needs cap 22$"):
-            FockTruncation(1, 10, cap=20).grown()
-        with pytest.raises(ValueError, match="no starting cutoff .* needs cap 49$"):
-            FockTruncation(2, 3, cap=20).grown()
-        FockTruncation(2, 2, cap=49).grown()
+    def test_rerun_over_cap_fits_no_starting_cutoff(self, monkeypatch):
+        # the smallest re-runs, from cutoff 2, hold 22 states for one mode and 49 for two;
+        # at the real cap, five modes re-run from cutoff 2 at 7 ** 5 = 16807 states
+        with pytest.raises(ValueError, match="no starting cutoff for 5 mode.s. fits$"):
+            FockTruncation(5, 2).grown()
+        monkeypatch.setattr(fock, "DIMENSION_CAP", 21)
+        with pytest.raises(ValueError, match="no starting cutoff for 1 mode.s. fits$"):
+            FockTruncation(1, 2).grown()
+        monkeypatch.setattr(fock, "DIMENSION_CAP", 48)
+        with pytest.raises(ValueError, match="no starting cutoff for 2 mode.s. fits$"):
+            FockTruncation(2, 2).grown()
+        monkeypatch.setattr(fock, "DIMENSION_CAP", 49)
+        assert FockTruncation(2, 2).grown() == FockTruncation(2, 7)
 
     @pytest.mark.parametrize("n_modes,cutoff,regrown", [(1, 10, 30), (2, 10, 15), (3, 4, 9)])
-    def test_rerun_grows_one_mode_by_20_and_more_modes_by_5(self, n_modes, cutoff, regrown):
-        # the cap is kept; a re-run that fills it exactly is allowed
-        cap = regrown ** n_modes
-        assert FockTruncation(n_modes, cutoff, cap).grown() == FockTruncation(n_modes, regrown, cap)
+    def test_rerun_grows_one_mode_by_20_and_more_modes_by_5(self, monkeypatch, n_modes, cutoff,
+                                                            regrown):
+        # a re-run that fills the cap exactly is allowed
+        monkeypatch.setattr(fock, "DIMENSION_CAP", regrown ** n_modes)
+        assert FockTruncation(n_modes, cutoff).grown() == FockTruncation(n_modes, regrown)
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("n_modes,cutoff", [(1, 12), (2, 6), (3, 4)])
