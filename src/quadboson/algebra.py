@@ -55,16 +55,17 @@ class QuadraticForm:
         n = self.basis.size
         if mat.shape != (n, n):
             raise ValueError(f"coefficient matrix must be {n}x{n}, got {mat.shape}")
-        if not (np.all(np.isfinite(mat)) and np.isfinite(complex(self.offset))):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below: 2 G u is then finite
+            sym, asym = 0.5 * (mat + mat.T), np.max(np.abs(mat - mat.T))
+            scale = max(1.0, np.max(np.abs(mat)))
+        if not (np.all(np.isfinite(sym)) and np.isfinite(complex(self.offset))):
             raise ValueError("coefficients and offset must be finite")
-        scale = max(1.0, np.max(np.abs(mat))) if mat.size else 1.0
-        asym = np.max(np.abs(mat - mat.T))
         if asym > _SYMMETRY_TOL * scale:
             raise ValueError(
                 f"coefficient matrix is not symmetric (max asymmetry {asym:.3e}); "
                 "use build_quadratic to normalize arbitrary term lists"
             )
-        object.__setattr__(self, "coeffs", 0.5 * (mat + mat.T))
+        object.__setattr__(self, "coeffs", sym)
         object.__setattr__(self, "offset", complex(self.offset))
 
 

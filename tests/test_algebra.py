@@ -145,6 +145,16 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match="must be finite"):
             QuadraticForm(BosonBasis(1), coeffs, offset=offset)
 
+    def test_rejects_a_symmetrized_form_that_overflows(self):
+        # every entry is finite, but 1e308 + 1e308 in 0.5 (G + G^t) is not
+        with pytest.raises(ValueError, match="must be finite"):
+            QuadraticForm(BosonBasis(1), [[1e308, 0.5], [0.5, 1e308]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            QuadraticForm(BosonBasis(1), [[0.0, 1e308], [-1e308, 0.0]])
+        # a form that is accepted has a finite adjoint matrix 2 G u
+        form = QuadraticForm(BosonBasis(1), [[8e307, 0.5], [0.5, 8e307]])
+        assert np.all(np.isfinite(adjoint_rep(form)))
+
     def test_basis_index_helpers(self):
         basis = BosonBasis(2)
         assert basis.size == 4

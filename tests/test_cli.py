@@ -495,6 +495,7 @@ CUSTOM = {
 }
 AXIS = {"parameter": "alpha_re", "start": 0.0, "stop": 1.0, "steps": 3}
 OVERFLOWING = {"model": "two_mode", "alpha": [1e308, 0.0], "beta": [0.5, 0.0], "gamma": 1e308}
+OVERFLOWING_CUSTOM = {"model": "custom", "matrix": [[1e308, 0.5], [0.5, 1e308]]}
 BOOLEAN_FIELDS = [
     ("alpha", dict(ONE_MODE, alpha=True)),
     ("beta", dict(ONE_MODE, beta=[0.5, True])),
@@ -572,6 +573,10 @@ REFUSED_SETTINGS = [
      "coefficients and offset must be finite"),
     ("sweep overflowing form", ["sweep"],
      dict(OVERFLOWING, sweep=[dict(AXIS, parameter="beta_re")]),
+     "coefficients and offset must be finite"),
+    ("analyze overflowing custom matrix", ["analyze"], OVERFLOWING_CUSTOM,
+     "coefficients and offset must be finite"),
+    ("oracle overflowing custom matrix", ["oracle"], OVERFLOWING_CUSTOM,
      "coefficients and offset must be finite"),
 ]
 
