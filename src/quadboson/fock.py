@@ -663,6 +663,7 @@ def _metric_factor(cmap: CanonicalMap, trunc: FockTruncation) -> np.ndarray:
     return lower * e ** (0.5 * np.arange(trunc.cutoff) + 0.25)
 
 
+@np.errstate(all="ignore")  # an overflowing metric (nmax 480 at (0.3, 0.5)) is refused below
 def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncation,
                   interior: int | None = None) -> MetricReport:
     """Build rho = S^dag S in normal order and test rho H = H^dag rho.
@@ -679,9 +680,9 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
     real map and real parameters the whole check, the products and the SVD
     behind the 2-norm, runs in float64; otherwise in complex128.
 
-    Raises ValueError when 1 - 4 alpha beta is not real: the frequency is
-    then complex and no metric with rho H = H^dag rho exists. So does a
-    cutoff below 3 without an interior, whose default block is empty.
+    Raises ValueError when 1 - 4 alpha beta is not real: the frequency is then complex
+    and no metric with rho H = H^dag rho exists. So does a cutoff below 3 without an
+    interior, whose default block is empty, and a metric that overflows float64.
     """
     if trunc.n_modes != 1:
         raise ValueError("metric verification is defined for the one-mode model")
@@ -714,6 +715,8 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
     odd_k = np.subtract.outer(np.arange(interior), np.arange(interior)) % 4 == 2
     inverse = np.where(odd_k, -factor[block], factor[block]) / np.outer(scale, scale)
     norms = np.linalg.norm(rho[block], np.inf) * np.linalg.norm(ham[block], np.inf)
+    if not (np.isfinite([profile[interior - 1], norms]).all() and np.isfinite(inverse).all()):
+        raise ValueError(f"the metric overflows float64 at cutoff {trunc.cutoff}")
     return MetricReport(
         residual=profile[interior - 1],
         min_metric_eigenvalue=float(np.linalg.norm(inverse, 2)) ** -2,

@@ -578,6 +578,9 @@ REFUSED_SETTINGS = [
      "coefficients and offset must be finite"),
     ("oracle overflowing custom matrix", ["oracle"], OVERFLOWING_CUSTOM,
      "coefficients and offset must be finite"),
+    # the reference point's metric is finite up to nmax 476
+    ("transform --oracle --nmax 600", ["transform", "--oracle", "--nmax", "600"], ONE_MODE,
+     "the metric overflows float64 at cutoff 600"),
 ]
 
 

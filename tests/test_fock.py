@@ -1541,6 +1541,18 @@ class TestVerifyMetric:
         witness = complex_.min_metric_eigenvalue
         assert abs(real.min_metric_eigenvalue - witness) < 1e-13 * witness
 
+    def test_refuses_a_metric_that_overflows_float64(self):
+        # rho's entries grow about 4x per level at (0.3, 0.5): at nmax 460 the check is
+        # finite and exact to round-off; at 480 rho H overflows, which read as nan
+        params = OneModeParams(0.3, 0.5)
+        cmap = bogoliubov_map(params, 1.0)
+        report = verify_metric(params, cmap, FockTruncation(1, 460))
+        assert np.isfinite([report.residual, report.min_metric_eigenvalue]).all()
+        assert report.relative_residual < 16 * EPS and report.min_metric_eigenvalue > 0.0
+        for cutoff in (480, 1000):  # at 1000 the factor itself overflows
+            with pytest.raises(ValueError, match=f"metric overflows float64 at cutoff {cutoff}$"):
+                verify_metric(params, cmap, FockTruncation(1, cutoff))
+
     def test_residual_profile_is_the_max_over_each_leading_block(self):
         params = OneModeParams(0.3, 0.5)
         cmap = bogoliubov_map(params, 1.0)
