@@ -301,6 +301,20 @@ class TestSweep:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0 and err == b""
 
+    def test_two_mode_sweep_piped_into_head_exits_quietly(self, tmp_path):
+        # a 300x300 grid spans several chunks and far more than a pipe holds, so the sweep
+        # is still writing when head exits: main ends it with status 0 and no stderr
+        config = dict(TWO_MODE, sweep=[dict(AXIS, steps=300),
+                                       dict(AXIS, parameter="gamma", steps=300)])
+        command = (f"set -o pipefail; '{sys.executable}' -m quadboson.cli sweep --config "
+                   f"'{write_config(tmp_path, config)}' | head -n 4")
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(["bash", "-c", command], capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        lines = proc.stdout.decode().splitlines()
+        assert len(lines) == 4 and lines[0].startswith("# tool: quadboson")
+        assert proc.returncode == 0 and proc.stderr == b""
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_grid_refused_before_output(self, tmp_path, capsys):
         # gamma's linspace steps overflow, and alpha_re's corner would give infinite
