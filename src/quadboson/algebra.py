@@ -55,7 +55,7 @@ class QuadraticForm:
         n = self.basis.size
         if mat.shape != (n, n):
             raise ValueError(f"coefficient matrix must be {n}x{n}, got {mat.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below: 2 G u is then finite
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, so 2 G u stays finite
             sym, asym = 0.5 * (mat + mat.T), np.max(np.abs(mat - mat.T))
             scale = max(1.0, np.max(np.abs(mat)))
         if not (np.all(np.isfinite(sym)) and np.isfinite(complex(self.offset))):

@@ -139,7 +139,7 @@ def _rerun_cutoff(n_modes: int, cutoff: int) -> int:
 
 
 def _cap_error(n_modes: int, stride: int, what: str) -> ValueError:
-    """`what` exceeds the cap: name the largest starting cutoff whose re-run (+ stride) fits."""
+    """`what` exceeds the cap: name the largest cutoff c >= 2 whose run at c + stride fits."""
     fits = max(c for c in range(1, DIMENSION_CAP + 1) if _dimension(n_modes, c) <= DIMENSION_CAP)
     rerun = " with that re-run" if stride else ""
     hint = (f"largest feasible cutoff for {n_modes} mode(s){rerun} is {fits - stride}"

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -306,8 +307,8 @@ class TestSweep:
         # is still writing when head exits: main ends it with status 0 and no stderr
         config = dict(TWO_MODE, sweep=[dict(AXIS, steps=300),
                                        dict(AXIS, parameter="gamma", steps=300)])
-        command = (f"set -o pipefail; '{sys.executable}' -m quadboson.cli sweep --config "
-                   f"'{write_config(tmp_path, config)}' | head -n 4")
+        command = (f"set -o pipefail; {shlex.quote(sys.executable)} -m quadboson.cli sweep "
+                   f"--config {shlex.quote(write_config(tmp_path, config))} | head -n 4")
         src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run(["bash", "-c", command], capture_output=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": str(src)})
