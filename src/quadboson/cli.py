@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .algebra import (
-    BosonBasis,
-    QuadraticForm,
-    adjoint_rep,
-    commutator_matrix,
-    transform_form,
-)
+from .algebra import BosonBasis, QuadraticForm, adjoint_rep, transform_form
 from .fock import SPECTRUM_TOL, FockTruncation, _rerun_cutoff, verify_metric, verify_spectrum
 from .spectral import (
     ExceptionalPointError,
@@ -155,11 +149,6 @@ def load_config(path: str, overrides: dict | None = None) -> ModelConfig:
             raise ConfigError("field 'matrix': required for custom models")
         matrix = _parse_matrix(data["matrix"], "matrix")
         offset = _as_complex(data.get("offset", 0.0), "offset")
-        asym = np.max(np.abs(matrix - matrix.T))
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(matrix)))):
-            raise ConfigError(
-                f"field 'matrix': must be symmetric within 1e-12 (asymmetry {asym:.3e})"
-            )
 
     oracle = data.get("oracle", {})
     if not isinstance(oracle, dict):
@@ -274,7 +263,7 @@ def cmd_analyze(config: ModelConfig) -> int:
                 f"degenerate cluster lambda={_fmt_c(c.value)}: algebraic {c.algebraic}, "
                 f"geometric {c.geometric}"
             )
-    decomp = normalize_pairs(ladders, commutator_matrix(form.basis), offset=form.offset)
+    decomp = normalize_pairs(ladders, offset=form.offset)
     print("frequencies: " + ", ".join(_fmt_c(f) for f in decomp.frequencies))
     print(f"ground energy: {_fmt_c(decomp.ground_energy)}")
     for idx, (low, high) in enumerate(decomp.pairs, start=1):

@@ -603,10 +603,12 @@ def verify_adjoint_action(form: QuadraticForm, trunc: FockTruncation) -> Adjoint
 class MetricReport:
     """Quasi-Hermiticity data for the metric rho = S^dag S.
 
-    residual is the interior max-norm of rho H - H^dag rho; smaller
-    interiors can be read off residual_profile (index = interior size).
-    The metric block is exact at every cutoff, so the residual is round-off
-    alone; as an absolute max-norm it scales with rho's entries, which grow
+    residual is the max-norm of rho H - H^dag rho on the interior, the
+    cutoff - 2 lowest levels; smaller blocks' residuals can be read off
+    residual_profile (index = block size). The metric block is exact at
+    every cutoff, so every number for a smaller block, the witness
+    included, is read by passing a smaller cutoff, and the residual is
+    round-off alone; as an absolute max-norm it scales with rho's entries, which grow
     geometrically with the level for strongly squeezing maps (about 4x per
     level at alpha=0.3, beta=0.5, where the round-off reaches ~5e8 at
     interior 38). The small-block entries of residual_profile are the
@@ -664,14 +666,15 @@ def _metric_factor(cmap: CanonicalMap, trunc: FockTruncation) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # an overflowing metric (nmax 480 at (0.3, 0.5)) is refused below
-def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncation,
-                  interior: int | None = None) -> MetricReport:
+def verify_metric(params: OneModeParams, cmap: CanonicalMap,
+                  trunc: FockTruncation) -> MetricReport:
     """Build rho = S^dag S in normal order and test rho H = H^dag rho.
 
     S = exp(Q) is the operator that implements the canonical map. The
     truncated metric is exact at every cutoff (see _metric_factor), so no
-    padding is needed. The residual is reported on the interior block
-    (default all levels below cutoff - 2, where the truncated H is exact).
+    padding is needed. The residual is reported on the interior block,
+    the cutoff - 2 levels where the truncated H is exact; a smaller block
+    reads the same at a smaller cutoff, so pass that cutoff to check it.
     The positivity witness is 1 / ||F^-1||_2^2 for the interior block of
     the triangular factor F, whose inverse is read off F entry by entry.
     It stays accurate on these strongly graded blocks, where a triangular
@@ -681,8 +684,8 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
     behind the 2-norm, runs in float64; otherwise in complex128.
 
     Raises ValueError when 1 - 4 alpha beta is not real: the frequency is then complex
-    and no metric with rho H = H^dag rho exists. So does a cutoff below 3 without an
-    interior, whose default block is empty, and a metric that overflows float64.
+    and no metric with rho H = H^dag rho exists. So does a cutoff below 3, whose interior
+    block is empty, and a metric that overflows float64.
     """
     if trunc.n_modes != 1:
         raise ValueError("metric verification is defined for the one-mode model")
@@ -692,13 +695,10 @@ def verify_metric(params: OneModeParams, cmap: CanonicalMap, trunc: FockTruncati
             f"1 - 4*alpha*beta = {disc:.6g} is not real; the frequency is complex "
             "and no quasi-Hermiticity metric exists"
         )
-    if interior is None:
-        if trunc.cutoff < 3:
-            raise ValueError(f"the metric check needs a cutoff of at least 3, got {trunc.cutoff}: "
-                             "below that no interior block is left")
-        interior = trunc.cutoff - 2
-    if not (_is_integer(interior) and 1 <= interior <= trunc.cutoff):
-        raise ValueError(f"interior must be an integer in 1..{trunc.cutoff}, got {interior!r}")
+    if trunc.cutoff < 3:
+        raise ValueError(f"the metric check needs a cutoff of at least 3, got {trunc.cutoff}: "
+                         "below that no interior block is left")
+    interior = trunc.cutoff - 2
 
     factor = _metric_factor(cmap, trunc)
     rho = factor @ factor.conj().T

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import QuadraticForm, adjoint_rep, commutator_linear, commutator_matrix
+from .algebra import BosonBasis, QuadraticForm, adjoint_rep, commutator_linear, commutator_matrix
 
 PAIR_TOL = 1e-8
 # An order-2 exceptional point splits in floating point by O(sqrt(eps * |h|)),
@@ -317,11 +317,14 @@ def _symplectic_pairs_at_zero(vectors, u):
     return pairs
 
 
-def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0) -> SpectralDecomposition:
+def normalize_pairs(ladders, *, offset: complex = 0.0) -> SpectralDecomposition:
     """Rescale +/- eigenpairs jointly so that [Z_low_i, Z_high_j] = delta_ij.
 
-    Lowering vectors (entries i < K of the eigenpairs layout) form the
-    columns of L, their raising mates (entry 2K-1-i) those of R. Pairs
+    The 2K ladders (the eigenpairs layout, K >= 1) each carry 2K
+    coefficients, read against the boson commutator matrix u of K modes
+    (algebra.commutator_matrix); any other count raises ValueError.
+    Lowering vectors (entries i < K) form the columns of L, their raising
+    mates (entry 2K-1-i) those of R. Pairs
     with |lambda_low| < CLUSTER_TOL * max(1, max |lambda|) first get a
     symplectic basis of the zero eigenspace, where either member may be
     the lowering one. Then R <- R (L^t u R)^-1 against the one K x K Gram
@@ -334,9 +337,10 @@ def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0) -> SpectralDe
     """
     ladders = list(ladders)
     n = len(ladders)
-    if n % 2 or n != u.shape[0]:
-        raise ValueError(f"expected 2K ladder operators matching u of size {u.shape[0]}")
+    if not n or n % 2 or any(op.coeffs.size != n for op in ladders):
+        raise ValueError(f"expected 2K ladder operators of 2K coefficients each, got {n}")
     k = n // 2
+    u = commutator_matrix(BosonBasis(k))
 
     lam = np.array([op.eigenvalue for op in ladders])
     freqs = 0.5 * (lam[::-1][:k] - lam[:k])
@@ -373,7 +377,7 @@ def normalize_pairs(ladders, u: np.ndarray, offset: complex = 0.0) -> SpectralDe
 def decompose(form: QuadraticForm) -> SpectralDecomposition:
     """Full pipeline: adjoint matrix -> eigenpairs -> normalized ladder pairs."""
     ladders = eigenpairs(adjoint_rep(form))
-    return normalize_pairs(ladders, commutator_matrix(form.basis), offset=form.offset)
+    return normalize_pairs(ladders, offset=form.offset)
 
 
 def spectrum(decomp: SpectralDecomposition, occupation) -> complex:

@@ -511,6 +511,8 @@ CUSTOM = {
 AXIS = {"parameter": "alpha_re", "start": 0.0, "stop": 1.0, "steps": 3}
 OVERFLOWING = {"model": "two_mode", "alpha": [1e308, 0.0], "beta": [0.5, 0.0], "gamma": 1e308}
 OVERFLOWING_CUSTOM = {"model": "custom", "matrix": [[1e308, 0.5], [0.5, 1e308]]}
+# symmetric part 0, asymmetry 2e308: a finite matrix whose G - G^t overflows
+OVERFLOWING_ASYMMETRIC = {"model": "custom", "matrix": [[0, 1e308], [-1e308, 0]]}
 BOOLEAN_FIELDS = [
     ("alpha", dict(ONE_MODE, alpha=True)),
     ("beta", dict(ONE_MODE, beta=[0.5, True])),
@@ -542,7 +544,7 @@ REFUSED_SETTINGS = [
     ("oracle --nmax 1", ["oracle", "--nmax", "1"], ONE_MODE, "field 'oracle.nmax' (--nmax)"),
     ("transform --nmax 1", ["transform", "--oracle", "--nmax", "1"], ONE_MODE,
      "field 'oracle.nmax' (--nmax)"),
-    # the default interior, cutoff - 2, is empty
+    # the interior, cutoff - 2, is empty
     ("transform --nmax 2", ["transform", "--oracle", "--nmax", "2"], ONE_MODE,
      "needs a cutoff of at least 3, got 2"),
     ("tol NaN", ["oracle"], dict(ONE_MODE, oracle={"tol": float("nan")}), "field 'oracle.tol'"),
@@ -593,6 +595,10 @@ REFUSED_SETTINGS = [
      "coefficients and offset must be finite"),
     ("oracle overflowing custom matrix", ["oracle"], OVERFLOWING_CUSTOM,
      "coefficients and offset must be finite"),
+    ("analyze overflowing asymmetric matrix", ["analyze"], OVERFLOWING_ASYMMETRIC,
+     "not symmetric"),
+    ("oracle overflowing asymmetric matrix", ["oracle"], OVERFLOWING_ASYMMETRIC,
+     "not symmetric"),
     # the reference point's metric is finite up to nmax 476
     ("transform --oracle --nmax 600", ["transform", "--oracle", "--nmax", "600"], ONE_MODE,
      "the metric overflows float64 at cutoff 600"),

@@ -605,9 +605,11 @@ class TestScipyImports:
         # scipy is imported only inside the oracle's Arnoldi solve and the metric
         # check; importing it costs about as much as the rest of `import quadboson`,
         # and the spectral, sweep and generator paths (transform without --oracle)
-        # need none of it
+        # need none of it, nor does the oracle on either paper model: every unit
+        # of those runs, the two-mode re-run at cutoff 35 included, fits a full solve
         data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
         configs = [os.path.join(data, f"sweep_{model}.json") for model in ("one_mode", "two_mode")]
+        oracles = [os.path.join(data, f"oracle_{model}.json") for model in ("one_mode", "two_mode")]
         probe = (
             "import contextlib, io, sys\n"
             "import quadboson as qb\n"
@@ -622,9 +624,10 @@ class TestScipyImports:
             f"    codes = [cli.main([command, '--config', path]) for path in {configs!r}\n"
             "             for command in ('analyze', 'sweep')]\n"
             f"    codes.append(cli.main(['transform', '--config', {configs[0]!r}]))\n"
+            f"    codes += [cli.main(['oracle', '--config', path]) for path in {oracles!r}]\n"
             "print(codes, [name for name in sys.modules if name.split('.')[0] == 'scipy'])"
         )
-        assert fresh_interpreter(probe) == "[0, 0, 0, 0, 0] []"
+        assert fresh_interpreter(probe) == "[0, 0, 0, 0, 0, 0, 0] []"
 
 
 def parity_blocks(form, trunc):
@@ -1434,7 +1437,8 @@ class TestVerifyMetric:
     def test_weak_squeezing_deep_interior(self):
         params = OneModeParams(0.05, 0.05)
         cmap = bogoliubov_map(params, 1.0)
-        report = verify_metric(params, cmap, FockTruncation(1, 30), interior=10)
+        report = verify_metric(params, cmap, FockTruncation(1, 12))
+        assert report.interior_size == 10
         assert report.residual < 1e-8
         assert report.min_metric_eigenvalue > 0.0
 
@@ -1457,18 +1461,22 @@ class TestVerifyMetric:
         ham = assemble_dense(one_mode(params), FockTruncation(1, 30))
         assert np.max(np.abs(ham - ham.conj().T)) < 1e-13
         cmap = bogoliubov_map(params, 1.0)
-        report = verify_metric(params, cmap, FockTruncation(1, 30), interior=10)
+        report = verify_metric(params, cmap, FockTruncation(1, 12))
         assert report.residual < 1e-9
         assert report.min_metric_eigenvalue > 0.0
 
     def test_vacuum_element_exact_at_every_cutoff(self):
-        # the 1x1 interior block is <0|rho|0> = ||S|0>||^2 = sqrt(8/3) here;
-        # an exact metric has no truncation error however small the cutoff
+        # <0|rho|0> = ||S|0>||^2 = sqrt(8/3) here, |F[0, 0]|^2 for the lower-triangular
+        # factor and the whole 1x1 interior at cutoff 3; an exact metric has no
+        # truncation error however small the cutoff
         params = OneModeParams(0.3, 0.5)
         cmap = bogoliubov_map(params, 1.0)
+        report = verify_metric(params, cmap, FockTruncation(1, 3))
+        assert report.interior_size == 1
+        assert abs(report.min_metric_eigenvalue - np.sqrt(8.0 / 3.0)) < 1e-12
         for cutoff in range(3, 41):
-            report = verify_metric(params, cmap, FockTruncation(1, cutoff), interior=1)
-            assert abs(report.min_metric_eigenvalue - np.sqrt(8.0 / 3.0)) < 1e-12
+            vacuum = abs(fock._metric_factor(cmap, FockTruncation(1, cutoff))[0, 0]) ** 2
+            assert abs(vacuum - np.sqrt(8.0 / 3.0)) < 1e-12
 
     def test_rejects_map_without_normal_ordered_metric(self):
         # S = exp(b a^dag^2) sends |0> to a non-normalizable state for
@@ -1563,16 +1571,3 @@ class TestVerifyMetric:
         resid = np.abs(rho @ ham - ham.conj().T @ rho)
         expected = tuple(float(np.max(resid[:cut, :cut])) for cut in range(1, 41))
         assert verify_metric(params, cmap, trunc).residual_profile == expected
-
-    def test_interior_validation(self):
-        params = OneModeParams(0.1, 0.1)
-        cmap = bogoliubov_map(params, 1.0)
-        with pytest.raises(ValueError, match="interior"):
-            verify_metric(params, cmap, FockTruncation(1, 20), interior=0)
-
-    @pytest.mark.parametrize("interior", [2.5, True, np.float64(3.0), "3"])
-    def test_interior_must_be_an_integer(self, interior):
-        params = OneModeParams(0.1, 0.1)
-        cmap = bogoliubov_map(params, 1.0)
-        with pytest.raises(ValueError, match="interior must be an integer"):
-            verify_metric(params, cmap, FockTruncation(1, 20), interior=interior)

@@ -172,7 +172,7 @@ class TestNormalizePairs:
 
         monkeypatch.setattr(spectral, "_cluster_indices", no_clustering)
         for form, ops in zip(forms, ladders):
-            decomp = normalize_pairs(ops, commutator_matrix(form.basis))
+            decomp = normalize_pairs(ops)
             rebuilt = reconstruct_form(decomp, form.basis)
             assert np.max(np.abs(rebuilt.coeffs - form.coeffs)) < 1e-12
 
@@ -205,7 +205,6 @@ class TestNormalizePairs:
 
     def test_vanishing_pair_commutator_raises(self):
         # hand-built near-parallel pair: commutator below the floor
-        u = commutator_matrix(BosonBasis(1))
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
         w = v + np.array([1e-15, -1e-15])
         ladders = [
@@ -213,7 +212,25 @@ class TestNormalizePairs:
             LadderOperator(0.5, w, "raising"),
         ]
         with pytest.raises(ExceptionalPointError):
-            normalize_pairs(ladders, u)
+            normalize_pairs(ladders)
+
+    def test_refuses_a_layout_that_is_not_2k_by_2k(self):
+        # the commutator matrix comes from the ladder count, so the count and every
+        # coefficient vector must agree on 2K
+        low, high = eigenpairs(swanson_rep(0.3, 0.5))
+        two_mode_ops = eigenpairs(adjoint_rep(two_mode(TwoModeParams(0.1, 0.2, 0.3))))
+        for ladders in ([], [low], [low, high, low], [two_mode_ops[0], two_mode_ops[-1]],
+                        [low, high, *two_mode_ops[1:3]]):
+            with pytest.raises(ValueError, match="2K ladder operators of 2K coefficients"):
+                normalize_pairs(ladders)
+
+    def test_offset_is_keyword_only(self):
+        # a commutator matrix passed where it used to go must not land in offset
+        ladders = eigenpairs(swanson_rep(0.3, 0.5))
+        with pytest.raises(TypeError):
+            normalize_pairs(ladders, commutator_matrix(BosonBasis(1)))
+        decomp = normalize_pairs(ladders, offset=0.25)
+        assert abs(decomp.ground_energy - (ROOT_04 / 2 + 0.25)) < 1e-12
 
 
 class TestSpectrum:
