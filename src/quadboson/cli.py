@@ -24,7 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .algebra import BosonBasis, QuadraticForm, adjoint_rep, transform_form
+from .algebra import (
+    BosonBasis,
+    QuadraticForm,
+    adjoint_rep,
+    transform_form,
+)
 from .fock import SPECTRUM_TOL, FockTruncation, _rerun_cutoff, verify_metric, verify_spectrum
 from .spectral import (
     ExceptionalPointError,

@@ -604,11 +604,10 @@ class MetricReport:
     """Quasi-Hermiticity data for the metric rho = S^dag S.
 
     residual is the max-norm of rho H - H^dag rho on the interior, the
-    cutoff - 2 lowest levels; smaller blocks' residuals can be read off
-    residual_profile (index = block size). The metric block is exact at
-    every cutoff, so every number for a smaller block, the witness
-    included, is read by passing a smaller cutoff, and the residual is
-    round-off alone; as an absolute max-norm it scales with rho's entries, which grow
+    cutoff - 2 lowest levels; smaller blocks can be read off residual_profile
+    (index = block size), or checked whole by passing a smaller cutoff.
+    The metric block is exact at every cutoff, so the residual is round-off
+    alone; as an absolute max-norm it scales with rho's entries, which grow
     geometrically with the level for strongly squeezing maps (about 4x per
     level at alpha=0.3, beta=0.5, where the round-off reaches ~5e8 at
     interior 38). The small-block entries of residual_profile are the

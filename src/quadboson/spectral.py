@@ -324,13 +324,13 @@ def normalize_pairs(ladders, *, offset: complex = 0.0) -> SpectralDecomposition:
     coefficients, read against the boson commutator matrix u of K modes
     (algebra.commutator_matrix); any other count raises ValueError.
     Lowering vectors (entries i < K) form the columns of L, their raising
-    mates (entry 2K-1-i) those of R. Pairs
-    with |lambda_low| < CLUSTER_TOL * max(1, max |lambda|) first get a
-    symplectic basis of the zero eigenspace, where either member may be
-    the lowering one. Then R <- R (L^t u R)^-1 against the one K x K Gram
-    matrix (para-unitary normalization; Colpa, Physica A 93, 327 (1978)):
-    lowering vectors keep unit norm and cross commutators vanish between
-    all pairs, so the diagonal form reproduces the operator.
+    mates (entry 2K-1-i) those of R. Pairs with |lambda_low| < CLUSTER_TOL
+    * max(1, max |lambda|) first get a symplectic basis of the zero
+    eigenspace, where either member may be the lowering one. Then
+    R <- R (L^t u R)^-1 against the one K x K Gram matrix (para-unitary
+    normalization; Colpa, Physica A 93, 327 (1978)): lowering vectors keep
+    unit norm and cross commutators vanish between all pairs, so the
+    diagonal form reproduces the operator.
 
     A Gram matrix with smallest singular value below COMMUTATOR_FLOOR
     signals an exceptional point and raises ExceptionalPointError.
