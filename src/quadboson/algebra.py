@@ -44,7 +44,8 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticForm:
-    """Quadratic operator sum_ij coeffs[i,j] O_i O_j + offset with symmetric coeffs."""
+    """Quadratic operator sum_ij coeffs[i,j] O_i O_j + offset with symmetric coeffs;
+    build_quadratic normalizes arbitrary term lists."""
 
     basis: BosonBasis
     coeffs: np.ndarray
@@ -61,10 +62,7 @@ class QuadraticForm:
         if not (np.all(np.isfinite(sym)) and np.isfinite(complex(self.offset))):
             raise ValueError("coefficients and offset must be finite")
         if asym > _SYMMETRY_TOL * scale:
-            raise ValueError(
-                f"coefficient matrix is not symmetric (max asymmetry {asym:.3e}); "
-                "use build_quadratic to normalize arbitrary term lists"
-            )
+            raise ValueError(f"coefficient matrix is not symmetric (max asymmetry {asym:.3e})")
         object.__setattr__(self, "coeffs", sym)
         object.__setattr__(self, "offset", complex(self.offset))
 
@@ -111,9 +109,10 @@ def commutator_matrix(basis: BosonBasis) -> np.ndarray:
     return u
 
 
-def _normal_form(raw: np.ndarray, offset: complex, u: np.ndarray) -> tuple[np.ndarray, complex]:
+def _normal_form(raw: np.ndarray, offset: complex) -> tuple[np.ndarray, complex]:
     # O_i O_j = (O_i O_j + O_j O_i)/2 + u[i,j]/2 moves all antisymmetric
-    # content of the raw coefficients into the scalar.
+    # content of the raw 2K x 2K coefficients into the scalar.
+    u = commutator_matrix(BosonBasis(raw.shape[0] // 2))
     with np.errstate(over="ignore", invalid="ignore"):  # QuadraticForm refuses non-finite ones
         sym = 0.5 * (raw + raw.T)
         shift = 0.5 * np.sum(raw * u)
@@ -141,8 +140,7 @@ def build_quadratic(basis: BosonBasis, raw_terms, offset: complex = 0.0) -> Quad
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexError(f"term index ({i},{j}) out of range 1..{n}")
         raw[i - 1, j - 1] += coeff
-    u = commutator_matrix(basis)
-    sym, total = _normal_form(raw, offset, u)
+    sym, total = _normal_form(raw, offset)
     return QuadraticForm(basis, sym, total)
 
 
@@ -179,7 +177,6 @@ def transform_form(form: QuadraticForm, cmap: CanonicalMap) -> QuadraticForm:
         )
     cmap.require_canonical()
     s = cmap.matrix
-    u = commutator_matrix(form.basis)
     with np.errstate(over="ignore", invalid="ignore"):  # S^t G S may overflow as well
-        sym, total = _normal_form(s.T @ form.coeffs @ s, form.offset, u)
+        sym, total = _normal_form(s.T @ form.coeffs @ s, form.offset)
     return QuadraticForm(form.basis, sym, total)

@@ -219,7 +219,10 @@ def _build_form(config: ModelConfig, overrides: dict | None = None) -> Quadratic
         return one_mode(OneModeParams(params["alpha"], params["beta"]))
     if config.kind == "two_mode":
         return two_mode(TwoModeParams(**params))
-    return QuadraticForm(BosonBasis(config.matrix.shape[0] // 2), config.matrix, config.offset)
+    try:
+        return QuadraticForm(BosonBasis(config.matrix.shape[0] // 2), config.matrix, config.offset)
+    except ValueError as exc:
+        raise ConfigError(f"field 'matrix': {exc}") from None
 
 
 def _fmt(x: float, digits: int = 9) -> str:

@@ -196,11 +196,11 @@ def _eigensystem(rep: np.ndarray) -> _Eigensystem:
     """
     rep = np.asarray(rep, dtype=complex)
     values, vectors = np.linalg.eig(rep)
-    return _read_eigensystem(rep, values, vectors)
+    return _Eigensystem(values, vectors, *_read_spectrum(rep, values))
 
 
-def _read_eigensystem(rep: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> _Eigensystem:
-    """Clusters, EP report and reality label read from the solved eigensystem of rep."""
+def _read_spectrum(rep: np.ndarray, values: np.ndarray) -> tuple[float, EPReport, Reality]:
+    """Scale, EP report and reality label of rep, read from its eigenvalues alone."""
     scale = max(1.0, float(np.linalg.norm(rep, np.inf)))
     tol = CLUSTER_TOL * scale
     clusters = []
@@ -217,17 +217,17 @@ def _read_eigensystem(rep: np.ndarray, values: np.ndarray, vectors: np.ndarray) 
         reality = Reality.EXCEPTIONAL_POINT
     else:
         reality = Reality.ALL_REAL if _is_real(values) else Reality.COMPLEX
-    return _Eigensystem(values, vectors, scale, report, reality)
+    return scale, report, reality
 
 
 def _stacked_labels(reps: np.ndarray):
     """Spectra, Reality labels, defective flags and minimum gaps of a stack.
 
-    One eigvals call solves all (N, 2K, 2K) reps. A point whose eigenvalues
-    all lie at least twice the cluster width apart holds only simple clusters,
-    so its label is the reality test alone; the others (an over-flagging mask,
-    never a missed pair) get their eigenvectors from one eig call on just
-    those reps and are read by _read_eigensystem.
+    One eigvals call solves all (N, 2K, 2K) reps, and every label reads those
+    values, the ones the sweep prints. A point whose eigenvalues all lie at
+    least twice the cluster width apart holds only simple clusters, so its
+    label is the reality test alone; the others (an over-flagging mask, never
+    a missed pair) get the clusters and SVDs of _read_spectrum.
     The minimum gap is the smallest pairwise distance, taken with hypot, which
     matches the scalar abs() of a complex difference bit for bit where the
     vectorized abs can differ by one ulp.
@@ -239,11 +239,9 @@ def _stacked_labels(reps: np.ndarray):
     gap = np.hypot(diff.real, diff.imag).min(axis=-1)
     reality = np.where(_is_real(values), Reality.ALL_REAL, Reality.COMPLEX)
     defective = np.zeros(len(reps), dtype=bool)
-    flagged = np.flatnonzero(gap < 2.0 * CLUSTER_TOL * scale)
-    if flagged.size:
-        for n, fvalues, fvectors in zip(flagged, *np.linalg.eig(reps[flagged])):
-            system = _read_eigensystem(reps[n], fvalues, fvectors)
-            reality[n], defective[n] = system.reality, system.report.defective
+    for n in np.flatnonzero(gap < 2.0 * CLUSTER_TOL * scale):
+        _, report, reality[n] = _read_spectrum(reps[n], values[n])
+        defective[n] = report.defective
     return values, reality, defective, gap
 
 

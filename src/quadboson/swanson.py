@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    DEFAULT_CANONICAL_TOL,
     BosonBasis,
     CanonicalMap,
     QuadraticForm,
@@ -156,21 +157,21 @@ def generator_coeffs(cmap: CanonicalMap) -> QuadraticForm:
     = sqrt(c - 1) sqrt(c + 1). (S^t - c I) u is symmetric because S^t - c I is
     traceless, so the coefficients are exactly symmetric. Raises ValueError
     for a map of more than one mode and where an eigenvalue lies on the
-    closed negative real axis (no principal logarithm).
+    closed negative real axis (no principal logarithm): c +/- sqrt(c^2 - 1)
+    lie there iff c is real and c <= -1, read off c (no eigensolve splits a
+    defective map's double -1 off the axis) within the determinant's tolerance.
     """
     if cmap.basis.n_modes != 1:
         raise ValueError("the closed-form generator is defined for one-mode maps")
     cmap.require_canonical()
     st = cmap.matrix.T
-    eig = np.linalg.eigvals(st)
-    on_cut = (np.abs(eig.imag) < 1e-14 * np.maximum(1.0, np.abs(eig))) & (eig.real <= 0.0)
-    if np.any(on_cut):
+    c = 0.5 * (st[0, 0] + st[1, 1])
+    if abs(c.imag) < 1e-14 * max(1.0, abs(c)) and c.real <= -1.0 + DEFAULT_CANONICAL_TOL:
         raise ValueError(
             "map matrix has an eigenvalue on the closed negative real axis; "
             "the principal logarithm is undefined -- rebuild the map with a "
             "different s11 gauge"
         )
-    c = 0.5 * (st[0, 0] + st[1, 1])
     half = 0.5 * (st[0, 0] - st[1, 1])
     theta = np.arccosh(c)
     # theta / sinh(theta) = 1 - theta^2/6 + 7 theta^4/360 - ..., 0/0 at theta = 0; the

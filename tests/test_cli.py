@@ -592,13 +592,13 @@ REFUSED_SETTINGS = [
      dict(OVERFLOWING, sweep=[dict(AXIS, parameter="beta_re")]),
      "coefficients and offset must be finite"),
     ("analyze overflowing custom matrix", ["analyze"], OVERFLOWING_CUSTOM,
-     "coefficients and offset must be finite"),
+     "field 'matrix': coefficients and offset must be finite"),
     ("oracle overflowing custom matrix", ["oracle"], OVERFLOWING_CUSTOM,
-     "coefficients and offset must be finite"),
+     "field 'matrix': coefficients and offset must be finite"),
     ("analyze overflowing asymmetric matrix", ["analyze"], OVERFLOWING_ASYMMETRIC,
-     "not symmetric"),
+     "field 'matrix': coefficient matrix is not symmetric (max asymmetry inf)"),
     ("oracle overflowing asymmetric matrix", ["oracle"], OVERFLOWING_ASYMMETRIC,
-     "not symmetric"),
+     "field 'matrix': coefficient matrix is not symmetric (max asymmetry inf)"),
     # the reference point's metric is finite up to nmax 476
     ("transform --oracle --nmax 600", ["transform", "--oracle", "--nmax", "600"], ONE_MODE,
      "the metric overflows float64 at cutoff 600"),
@@ -634,7 +634,7 @@ def test_exceptional_point_error_maps_to_exit_2(tmp_path, capsys, monkeypatch):
 def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch):
     # EP detection, reality classification and ladder extraction all read
     # the same eigendecomposition; a sweep solves its whole grid as one stack
-    # of eigenvalues, and eigenvectors only at the points it flags.
+    # of eigenvalues and labels every point, flagged or not, from those values.
     calls = []
     for name in ("eig", "eigvals"):
         def counted(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
@@ -652,12 +652,12 @@ def test_one_eigensolve_per_adjoint_matrix(tmp_path, monkeypatch):
     calls.clear()
     config = dict(TWO_MODE, sweep=[{"parameter": "gamma", "start": 0.0, "stop": 1.0, "steps": 7}])
     assert main(["sweep", "--config", write_config(tmp_path, config)]) == 0
-    assert calls == [("eigvals", (7, 4, 4)), ("eig", (1, 4, 4))]
-    # the EP node at alpha = 0.5 is solved again for its eigenvectors, alone
+    assert calls == [("eigvals", (7, 4, 4))]
+    # the EP node at alpha = 0.5 is labelled from the stack's eigenvalues and its SVDs
     calls.clear()
     config = dict(ONE_MODE, sweep=[{"parameter": "alpha_re", "start": 0.3, "stop": 0.7, "steps": 5}])
     assert main(["sweep", "--config", write_config(tmp_path, config)]) == 0
-    assert calls == [("eigvals", (5, 2, 2)), ("eig", (1, 2, 2))]
+    assert calls == [("eigvals", (5, 2, 2))]
     # a grid with well-separated eigenvalues everywhere needs no eigenvectors
     calls.clear()
     config = dict(ONE_MODE, sweep=[{"parameter": "alpha_re", "start": 0.1, "stop": 0.3, "steps": 5}])

@@ -208,6 +208,21 @@ class TestBogoliubovMap:
             assert dev < 1e-10
 
 
+PHI = 3.1
+# unit-determinant maps whose eigenvalues sit on or near the closed negative real axis
+DEFECTIVE_AND_NEAR_CUT_MAPS = [
+    ("jordan -1 [[-3,4],[-1,1]]", np.array([[-3.0, 4.0], [-1.0, 1.0]])),
+    ("jordan -1 [[-1.7,1],[-0.49,-0.3]]", np.array([[-1.7, 1.0], [-0.49, -0.3]])),
+    ("jordan -1 upper triangular", np.array([[-1.0, 1.0], [0.0, -1.0]])),
+    ("diag(-2,-0.5)", np.diag([-2.0, -0.5])),
+    ("-I", -np.eye(2)),
+    # determinant 1 - 1e-10, within require_canonical's 1e-9
+    ("-(1-5e-11) I", -(1.0 - 5e-11) * np.eye(2)),
+    ("rotation by 3.1", np.array([[np.cos(PHI), -np.sin(PHI)], [np.sin(PHI), np.cos(PHI)]])),
+    ("[[-1,1],[-2^-20,-1+2^-20]]", np.array([[-1.0, 1.0], [-2.0**-20, -1.0 + 2.0**-20]])),
+]
+
+
 class TestGenerator:
     def test_identity_map_gives_zero(self):
         q_rep = adjoint_rep(generator_coeffs(CanonicalMap(np.eye(2))))
@@ -242,6 +257,27 @@ class TestGenerator:
         assert cmap.defect() < 1e-15
         with pytest.raises(ValueError, match="s11 gauge"):
             adjoint_rep(generator_coeffs(cmap))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("matrix", [m for _, m in DEFECTIVE_AND_NEAR_CUT_MAPS],
+                             ids=[name for name, _ in DEFECTIVE_AND_NEAR_CUT_MAPS])
+    def test_defective_and_near_cut_maps(self, monkeypatch, matrix):
+        # the cut is read off c = tr(S)/2, never from an eigensolve: a defective
+        # map's double eigenvalue -1 would split off the axis by about sqrt(eps)
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("generator_coeffs called an eigensolver")
+
+        cmap = CanonicalMap(matrix)
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eig", no_eigensolve)
+        try:
+            gen = generator_coeffs(cmap)
+        except ValueError as exc:
+            assert "s11 gauge" in str(exc)
+            return
+        st = cmap.matrix.T
+        rebuilt = sla.expm(2.0 * gen.coeffs @ commutator_matrix(BosonBasis(1)))
+        assert np.max(np.abs(rebuilt - st)) <= 1e-12 * np.max(np.abs(st))
 
     def test_two_mode_map_refused(self):
         with pytest.raises(ValueError, match="one-mode"):
