@@ -317,12 +317,13 @@ def cmd_sweep(config: ModelConfig, out_path: str | None) -> int:
                  + ",".join(columns) + "\n")
         for start in range(0, len(points), _SWEEP_CHUNK):
             chunk = points[start:start + _SWEEP_CHUNK]
-            values, reality, defective, gap = _stacked_labels(stack(chunk))
+            values, reality, gap = _stacked_labels(stack(chunk))
             # values.view(float) interleaves (re, im) per eigenvalue, the column order
             values = np.sort(values, axis=-1, kind="stable")
             numbers = np.column_stack([chunk, values.view(float)]).tolist()
+            defective = (reality == Reality.EXCEPTIONAL_POINT).tolist()
             fh.write("".join(row % (*x, label.value, flag, g) for x, label, flag, g
-                             in zip(numbers, reality, defective.tolist(), gap.tolist())))
+                             in zip(numbers, reality, defective, gap.tolist())))
     if out_path:
         print(f"wrote {len(points)} rows to {out_path}")
     return EXIT_OK
@@ -368,15 +369,10 @@ def cmd_transform(config: ModelConfig, s11: float, with_oracle: bool) -> int:
     gen = generator_coeffs(cmap)
     metric = verify_metric(params, cmap, FockTruncation(1, config.nmax)) if with_oracle else None
 
-    s = cmap.matrix
-    alpha, beta = params.alpha, params.beta
-    conditions = (
-        s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0] - 1.0,
-        alpha * s[0, 0] ** 2 + beta * s[1, 0] ** 2 + s[0, 0] * s[1, 0],
-        alpha * s[0, 1] ** 2 + beta * s[1, 1] ** 2 + s[0, 1] * s[1, 1],
-    )
-    _print_matrix("canonical map S", s)
-    print("determinant: " + _fmt_c(np.linalg.det(s)))
+    det = np.linalg.det(cmap.matrix)
+    _print_matrix("canonical map S", cmap.matrix)
+    print("determinant: " + _fmt_c(det))
+    conditions = (det - 1.0, transformed.coeffs[0, 0], transformed.coeffs[1, 1])  # a^2, a^dag^2
     print("map condition residuals: " + ", ".join(_fmt(abs(c)) for c in conditions))
     _print_matrix("transformed coefficients", transformed.coeffs)
     print(f"transformed offset: {_fmt_c(transformed.offset)}")

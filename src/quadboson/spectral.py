@@ -221,7 +221,7 @@ def _read_spectrum(rep: np.ndarray, values: np.ndarray) -> tuple[float, EPReport
 
 
 def _stacked_labels(reps: np.ndarray):
-    """Spectra, Reality labels, defective flags and minimum gaps of a stack.
+    """Spectra, Reality labels (ExceptionalPoint where defective) and minimum gaps of a stack.
 
     One eigvals call solves all (N, 2K, 2K) reps, and every label reads those
     values, the ones the sweep prints. A point whose eigenvalues all lie at
@@ -238,11 +238,9 @@ def _stacked_labels(reps: np.ndarray):
     diff = values[:, i] - values[:, j]
     gap = np.hypot(diff.real, diff.imag).min(axis=-1)
     reality = np.where(_is_real(values), Reality.ALL_REAL, Reality.COMPLEX)
-    defective = np.zeros(len(reps), dtype=bool)
     for n in np.flatnonzero(gap < 2.0 * CLUSTER_TOL * scale):
-        _, report, reality[n] = _read_spectrum(reps[n], values[n])
-        defective[n] = report.defective
-    return values, reality, defective, gap
+        reality[n] = _read_spectrum(reps[n], values[n])[2]
+    return values, reality, gap
 
 
 def detect_ep(rep: np.ndarray) -> EPReport:
@@ -328,7 +326,8 @@ def normalize_pairs(ladders, *, offset: complex = 0.0) -> SpectralDecomposition:
     R <- R (L^t u R)^-1 against the one K x K Gram matrix (para-unitary
     normalization; Colpa, Physica A 93, 327 (1978)): lowering vectors keep
     unit norm and cross commutators vanish between all pairs, so the
-    diagonal form reproduces the operator.
+    diagonal form reproduces the operator. The reality label reads the 2K
+    eigenvalues given, by classify_reality's rule, not the frequencies.
 
     A Gram matrix with smallest singular value below COMMUTATOR_FLOOR
     signals an exceptional point and raises ExceptionalPointError.
@@ -366,7 +365,7 @@ def normalize_pairs(ladders, *, offset: complex = 0.0) -> SpectralDecomposition:
     pairs = tuple((LadderOperator(-freqs[g], low[:, g], LOWERING),
                    LadderOperator(freqs[g], high[:, g], RAISING)) for g in order)
     freqs = freqs[order]
-    reality = Reality.ALL_REAL if _is_real(freqs) else Reality.COMPLEX
+    reality = Reality.ALL_REAL if _is_real(lam) else Reality.COMPLEX
     ground = 0.5 * complex(np.sum(freqs)) + complex(offset)
     return SpectralDecomposition(pairs=pairs, frequencies=freqs, ground_energy=ground,
                                  reality=reality, defective=False, offset=complex(offset))

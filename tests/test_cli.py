@@ -20,6 +20,9 @@ DATA = Path(__file__).parent / "data"
 
 ONE_MODE = {"model": "one_mode", "alpha": [0.3, 0.0], "beta": [0.5, 0.0]}
 TWO_MODE = {"model": "two_mode", "alpha": [0.1, 0.0], "beta": [0.2, 0.0], "gamma": 0.3}
+# Im lambda sits at the reality tolerance 1e-9 to within its last bits
+THRESHOLD = {"model": "one_mode", "alpha": 0.2461254647723413,
+             "beta": [0.036655623219178105, 1.9944917976954706e-09]}
 
 
 def write_config(tmp_path, payload, name="model.json"):
@@ -359,6 +362,16 @@ class TestOracle:
         assert "informational" in out
         assert "i" in out.split("predicted vs oracle")[1]  # complex level listed
 
+    def test_label_at_the_reality_tolerance_is_the_analyze_label(self, tmp_path, capsys):
+        # Im lambda = 1e-9 to the last bits: the oracle refuses by the label analyze prints,
+        # both read off the same eigenvalues, not off frequencies re-derived from them
+        path = write_config(tmp_path, THRESHOLD)
+        assert main(["analyze", "--config", path]) == 0
+        assert "reality: Complex" in capsys.readouterr().out.splitlines()
+        assert main(["oracle", "--config", path]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("spectrum classified Complex;") and err == ""
+
     def test_exceptional_point_exit(self, tmp_path, capsys):
         config = {"model": "one_mode", "alpha": [0.5, 0.0], "beta": [0.5, 0.0]}
         code = main(["oracle", "--config", write_config(tmp_path, config)])
@@ -432,6 +445,33 @@ class TestTransform:
         assert "determinant: 1" in out
         assert "0.316227766" in out  # transformed off-diagonal
         assert "generator coefficients" in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha,beta", [(1e200, 0.0), (0.0, 1e300)])
+    def test_exact_map_reads_zero_condition_residuals(self, tmp_path, capsys, alpha, beta):
+        # S and S^t G S are exact here; expanding the conditions by hand overflowed to nan
+        config = {"model": "one_mode", "alpha": alpha, "beta": beta}
+        assert main(["transform", "--config", write_config(tmp_path, config)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "map condition residuals: 0, 0, 0" in out.splitlines()
+
+    @pytest.mark.parametrize("config", [ONE_MODE, dict(ONE_MODE, alpha=[0.2, 0.1],
+                                                       beta=[0.3, -0.15])])
+    def test_condition_residuals_read_the_printed_values(self, tmp_path, capsys, config):
+        # |det S - 1| and the a^2 and a^dag^2 coefficients of the transformed form shown below
+        assert main(["transform", "--config", write_config(tmp_path, config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        def value(text):
+            return complex(text.replace("i", "j"))
+
+        (det,) = [value(l.split(": ")[1]) for l in lines if l.startswith("determinant: ")]
+        (residuals,) = [[float(x) for x in l.split(": ")[1].split(", ")]
+                        for l in lines if l.startswith("map condition residuals: ")]
+        at = lines.index("transformed coefficients:")
+        rows = [[value(z) for z in line.strip(" []").split(", ")] for line in lines[at + 1:at + 3]]
+        expected = [abs(det - 1), abs(rows[0][0]), abs(rows[1][1])]
+        assert residuals == pytest.approx(expected, rel=1e-8, abs=0)
 
     def test_breaks_down_at_ep(self, tmp_path, capsys):
         config = {"model": "one_mode", "alpha": [0.5, 0.0], "beta": [0.5, 0.0]}

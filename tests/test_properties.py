@@ -1,6 +1,7 @@
 """Property tests of the ladder decomposition, and of the adjoint action it rests on, over random
-K-mode forms, K <= 6 (K <= 3 for the adjoint action), and of the oracle's mode-exchange
-sectors over random exchange-symmetric forms at K = 2-3.
+K-mode forms, K <= 6 (K <= 3 for the adjoint action), of its reality label over those and
+over one-mode forms at the reality tolerance, and of the oracle's mode-exchange sectors over
+random exchange-symmetric forms at K = 2-3.
 
 A form is a direct sum of mode groups. Each group is idle (no terms, so it
 adds zero-frequency pairs), a fresh random block, or a copy of the previous
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from quadboson import (BosonBasis, FockTruncation, QuadraticForm, TwoModeParams, adjoint_rep,
-                       commutator_matrix, decompose, eigenpairs, fock, oracle_eigenvalues,
-                       two_mode, verify_adjoint_action)
+from quadboson import (BosonBasis, FockTruncation, OneModeParams, QuadraticForm, TwoModeParams,
+                       adjoint_rep, classify_reality, commutator_matrix, decompose, eigenpairs,
+                       fock, one_mode, oracle_eigenvalues, two_mode, verify_adjoint_action)
+from quadboson.spectral import REALITY_TOL
 from form_helpers import ladder_blocks, random_symmetric, reconstruct_form
 
 EPS = np.finfo(float).eps
@@ -79,6 +81,24 @@ def test_ladders_are_canonical(form):
     assert np.max(np.abs(low.T @ u @ high - np.eye(form.basis.n_modes))) < bound
     assert np.max(np.abs(low.T @ u @ low)) < bound
     assert np.max(np.abs(high.T @ u @ high)) < bound
+
+
+@st.composite
+def threshold_forms(draw):
+    """One-mode forms with frequency w, |w| < 1, whose imaginary part lies within 2 ulp of
+    the reality tolerance, where rounding alone decides the label (1 - 4 alpha beta = w^2)."""
+    w = complex(draw(st.floats(0.1, 0.99)),
+                REALITY_TOL * (1 + draw(st.integers(-2, 2)) * EPS))
+    alpha = draw(st.floats(0.05, 1.0))
+    return one_mode(OneModeParams(alpha, (1 - w * w) / (4 * alpha)))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(grouped_forms(), threshold_forms()))
+def test_decomposition_reality_is_the_adjoint_label(form):
+    # both read the one eigensolve's 2K eigenvalues by the same rule, never frequencies
+    # re-derived from them, so away from an EP the two labels cannot differ
+    assert decompose(form).reality is classify_reality(adjoint_rep(form))
 
 
 @st.composite
