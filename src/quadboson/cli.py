@@ -245,16 +245,15 @@ def _print_matrix(label: str, mat: np.ndarray) -> None:
 
 def cmd_analyze(config: ModelConfig) -> int:
     form = _build_form(config)
-    print(f"model: {config.kind}")
     system = _eigensystem(adjoint_rep(form))
-    report = system.report
+    print(f"model: {config.kind}")
 
-    if report.defective:
+    if system.report.defective:
         values = np.sort(system.values, kind="stable")
         print("eigenvalues: " + ", ".join(_fmt_c(v) for v in values))
         print(f"reality: {system.reality.value}")
         print("exceptional point: defective adjoint matrix")
-        for c in report.clusters:
+        for c in system.report.clusters:
             print(
                 f"  cluster lambda={_fmt_c(c.value)}: algebraic {c.algebraic}, "
                 f"geometric {c.geometric}, defective={str(c.defective).lower()}"
@@ -265,7 +264,7 @@ def cmd_analyze(config: ModelConfig) -> int:
     ladders = system.ladders()
     print("eigenvalues: " + ", ".join(_fmt_c(op.eigenvalue) for op in ladders))
     print(f"reality: {system.reality.value}")
-    for c in report.clusters:
+    for c in system.report.clusters:
         if c.algebraic > 1:
             print(
                 f"degenerate cluster lambda={_fmt_c(c.value)}: algebraic {c.algebraic}, "

@@ -383,7 +383,7 @@ def _hermitian_balance(form: QuadraticForm, perm: tuple | None = None) -> Quadra
     if form.offset.imag != 0 or not np.array_equal(g != 0, mirror != 0):
         return None
     p, q = np.nonzero(g)
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         logs = np.log(g[p, q].conj() / mirror[p, q])
     if not np.all(np.isfinite(logs)):
         return None
@@ -514,8 +514,9 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
     elementwise against the enumerated diagonal-form energies. The run is
     repeated on trunc.grown(); converged means every matched level moved by
     less than tol/10. The re-run stays within DIMENSION_CAP: a truncation whose
-    re-run exceeds it raises ValueError before anything is assembled. Each run
-    assembles the full truncation once and solves its solve units apart,
+    re-run exceeds it raises ValueError before anything is assembled, as does a
+    form whose truncated operator can overflow float64 at the re-run's cutoff.
+    Each run assembles the full truncation once and solves its solve units apart,
     split and sized by the module docstring's size policy, so the report's
     eigenvalues hold just the lowest levels + 1 of a unit above the limit.
     The number scaling (_hermitian_balance) and the mode transposition
@@ -532,6 +533,10 @@ def verify_spectrum(form: QuadraticForm, decomp: SpectralDecomposition, levels: 
             f"cannot match {levels} levels from a {trunc.dimension}-state truncation"
         )
     regrown = trunc.grown()
+    # O_i O_j has entries <= cutoff, one per row; + 1 covers the normal-order fold's trace
+    norm = (regrown.cutoff + 1) * sum(np.abs(form.coeffs).ravel().tolist()) + abs(form.offset)
+    if not np.isfinite(4.0 * norm):  # Python floats overflow to inf without a warning
+        raise ValueError(f"the truncated operator overflows float64 at cutoff {regrown.cutoff}")
     perm = _mode_exchange(form)
     balanced = _hermitian_balance(form, perm)
     observed = _parity_eigenvalues(form, trunc, levels, balanced, perm)

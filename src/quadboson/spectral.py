@@ -201,7 +201,10 @@ def _eigensystem(rep: np.ndarray) -> _Eigensystem:
 
 def _read_spectrum(rep: np.ndarray, values: np.ndarray) -> tuple[float, EPReport, Reality]:
     """Scale, EP report and reality label of rep, read from its eigenvalues alone."""
-    scale = max(1.0, float(np.linalg.norm(rep, np.inf)))
+    with np.errstate(over="ignore"):  # refused just below
+        scale = max(1.0, float(np.linalg.norm(rep, np.inf)))
+    if not np.isfinite(4.0 * scale):  # 4 |rep|_inf bounds every eigenvalue gap
+        raise ValueError("the adjoint matrix's spectrum overflows float64")
     tol = CLUSTER_TOL * scale
     clusters = []
     for group in _cluster_indices(values, tol):
@@ -213,10 +216,8 @@ def _read_spectrum(rep: np.ndarray, values: np.ndarray) -> tuple[float, EPReport
         clusters.append(EigenvalueCluster(center, algebraic, geometric))
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
     report = EPReport(tuple(clusters))
-    if report.defective:
-        reality = Reality.EXCEPTIONAL_POINT
-    else:
-        reality = Reality.ALL_REAL if _is_real(values) else Reality.COMPLEX
+    reality = (Reality.EXCEPTIONAL_POINT if report.defective else
+               Reality.ALL_REAL if _is_real(values) else Reality.COMPLEX)
     return scale, report, reality
 
 

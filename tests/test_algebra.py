@@ -263,6 +263,10 @@ class TestTransformForm:
         with pytest.raises(NonCanonicalMapError):
             transform_form(form, bad)
 
+    def test_map_of_odd_size_is_refused(self):
+        with pytest.raises(ValueError, match=r"square of even size, got \(3, 3\)"):
+            CanonicalMap(np.eye(3))
+
     def test_size_mismatch(self):
         form = QuadraticForm(BosonBasis(1), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="does not match"):

@@ -102,6 +102,17 @@ class TestAnalyze:
         strip = lambda text: text.splitlines()[1:]  # model line differs
         assert strip(builtin) == strip(custom_out)
 
+    def test_vanishing_commutator_in_the_zero_cluster_exits_2(self, tmp_path, capsys):
+        # H = 5e-11 a^2 is an EP for any nonzero coefficient, but its adjoint matrix lies
+        # within the cluster width of zero and so reads as a regular 2-fold zero cluster;
+        # the null-space pairing finds no commuting partner and refuses
+        config = {"model": "custom", "matrix": [[5e-11, 0], [0, 0]]}
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        assert out.splitlines()[-1].startswith(
+            "exceptional point: vanishing pair commutator in the zero-eigenvalue cluster")
+
     def test_malformed_json_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"model": "one_mode",\n  "alpha": [0.3,]\n}')
@@ -551,6 +562,8 @@ CUSTOM = {
 AXIS = {"parameter": "alpha_re", "start": 0.0, "stop": 1.0, "steps": 3}
 OVERFLOWING = {"model": "two_mode", "alpha": [1e308, 0.0], "beta": [0.5, 0.0], "gamma": 1e308}
 OVERFLOWING_CUSTOM = {"model": "custom", "matrix": [[1e308, 0.5], [0.5, 1e308]]}
+# a form QuadraticForm accepts: its adjoint matrix holds 1.6e308, its spectrum's scale overflows
+OVERFLOWING_SPECTRUM = {"model": "custom", "matrix": [[8e307, 0.5], [0.5, 8e307]]}
 # symmetric part 0, asymmetry 2e308: a finite matrix whose G - G^t overflows
 OVERFLOWING_ASYMMETRIC = {"model": "custom", "matrix": [[0, 1e308], [-1e308, 0]]}
 BOOLEAN_FIELDS = [
@@ -642,6 +655,27 @@ REFUSED_SETTINGS = [
     # the reference point's metric is finite up to nmax 476
     ("transform --oracle --nmax 600", ["transform", "--oracle", "--nmax", "600"], ONE_MODE,
      "the metric overflows float64 at cutoff 600"),
+    # a finite form whose adjoint matrix's 4 |h|_inf overflows
+    ("analyze overflowing spectrum", ["analyze"], OVERFLOWING_SPECTRUM,
+     "the adjoint matrix's spectrum overflows float64"),
+    ("oracle overflowing spectrum", ["oracle"], OVERFLOWING_SPECTRUM,
+     "the adjoint matrix's spectrum overflows float64"),
+    *((f"{command} gamma {gamma:g}", [command], dict(TWO_MODE, gamma=gamma),
+       "the adjoint matrix's spectrum overflows float64")
+      for command in ("analyze", "oracle") for gamma in (1.7e308, -1.7e308)),
+    # analyze reads these spectra; the operator truncated at the re-run's cutoff overflows
+    *((f"oracle gamma {gamma:g}", ["oracle", "--nmax", "12"], dict(TWO_MODE, gamma=gamma),
+       "the truncated operator overflows float64 at cutoff 17") for gamma in (1e307, 4e307)),
+    ("top-level list", ["analyze"], [], "top level must be a JSON object"),
+    ("custom without matrix", ["analyze"], {"model": "custom"},
+     "field 'matrix': required for custom models"),
+    ("3x3 matrix", ["analyze"], dict(CUSTOM, matrix=[[0.0] * 3] * 3),
+     "field 'matrix': matrix must be square with even size 2K"),
+    ("oracle 5", ["oracle"], dict(ONE_MODE, oracle=5), "field 'oracle': must be an object"),
+    ("sweep [5]", ["sweep"], dict(ONE_MODE, sweep=[5]), "field 'sweep[0]': must be an object"),
+    ("three axes", ["sweep"],
+     dict(TWO_MODE, sweep=[dict(AXIS, parameter=p) for p in ("gamma", "alpha_re", "beta_re")]),
+     "field 'sweep': at most two swept parameters"),
 ]
 
 

@@ -147,6 +147,10 @@ class TestFockMatrices:
         with pytest.raises(ValueError):
             FockTruncation(1, 1)
 
+    def test_mode_count_validation(self):
+        with pytest.raises(ValueError, match="n_modes must be positive, got 0"):
+            FockTruncation(0, 5)
+
     @pytest.mark.parametrize("n_modes,cutoff", [(2, 3.5), (1.5, 4), (True, 4), (1, False),
                                                 (np.float64(2.0), 4)])
     def test_rejects_non_integer_sizes(self, n_modes, cutoff):
@@ -1190,6 +1194,15 @@ class TestVerifySpectrum:
         assert report.max_deviation < 1e-12
         assert report.passed
 
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 1e-320), (1e-320, 0.5)])
+    def test_subnormal_coefficient_is_solved_without_a_warning(self, alpha, beta):
+        # a complex division by the subnormal mirror entry is 0/0; the balance is then
+        # just not found, and pytest's error::RuntimeWarning filter holds the rest
+        form = one_mode(OneModeParams(alpha, beta))
+        assert fock._hermitian_balance(form) is None
+        report = verify_spectrum(form, decompose(form), 5, FockTruncation(1, 12))
+        assert report.passed and report.max_deviation < 1e-13
+
     def test_two_mode_small_truncation(self):
         form = two_mode(TwoModeParams(0.1, 0.2, 0.3))
         report = verify_spectrum(form, decompose(form), 3, FockTruncation(2, 12), tol=1e-4)
@@ -1484,6 +1497,11 @@ class TestVerifyMetric:
         cmap = CanonicalMap(np.array([[1.0, -1.2], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="normal-ordered"):
             verify_metric(OneModeParams(0.1, 0.1), cmap, FockTruncation(1, 10))
+
+    def test_rejects_a_two_mode_truncation(self):
+        params = OneModeParams(0.3, 0.5)
+        with pytest.raises(ValueError, match="defined for the one-mode model"):
+            verify_metric(params, bogoliubov_map(params, 1.0), FockTruncation(2, 10))
 
     def test_rejects_parameters_without_a_metric(self):
         # 1 - 4 alpha beta = 0.74 - 0.08j: the frequency is complex, so no

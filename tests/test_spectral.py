@@ -92,6 +92,16 @@ class TestEigenpairs:
             eigenpairs(np.float64(1.0))
 
 
+class TestLadderOperator:
+    @pytest.mark.parametrize("coeffs,role,message", [
+        ([1.0, 0.0], "up", "role must be 'lowering' or 'raising', got 'up'"),
+        ([0.0, 0.0], "lowering", "coefficient vector must be 1-d and nonzero"),
+    ], ids=["unknown-role", "zero-vector"])
+    def test_refuses(self, coeffs, role, message):
+        with pytest.raises(ValueError, match=message):
+            LadderOperator(0.5, np.array(coeffs), role)
+
+
 class TestNormalizePairs:
     def test_one_mode_frequency_and_ground_energy(self):
         decomp = decompose(one_mode(OneModeParams(0.3, 0.5)))
